@@ -15,7 +15,9 @@ serializations, so results are byte-identical to direct use:
     momentlab ops --name catalan --deg 6 --zeros
 
 Exit status: 0 on success, 1 when a requested verification or
-classification fails (the report is still emitted), 2 on option errors.
+classification fails (the report is still emitted), 2 on bad input: option
+errors, unreadable or malformed sequence files, an interval a,b without
+a < b, and a tolerance that is not a finite number above 0.
 The environment variable MOMENTLAB_PRECISION overrides the default
 quadrature tolerance.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -35,11 +38,14 @@ from .exact import collapse, ensure_fraction, format_rational, sqrt_exact
 _SCHEMA_OPS = "momentlab/ops/v1"
 
 
-def _default_tol() -> float:
+def _default_tol(parser) -> float:
     raw = os.environ.get("MOMENTLAB_PRECISION")
     if raw is None:
         return 1e-7
-    return float(raw)
+    try:
+        return _tolerance(raw)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"MOMENTLAB_PRECISION: {exc}")
 
 
 def _emit(text: str, path):
@@ -64,11 +70,16 @@ def _flat_csv(data, prefix="") -> str:
     return "\n".join(lines)
 
 
-def _read_sequence(path) -> seqcore.Sequence:
-    if path == "-":
-        return seqcore.Sequence.from_json(sys.stdin.read())
-    with open(path) as fh:
-        return seqcore.Sequence.from_json(fh.read())
+def _read_sequence(path, parser) -> seqcore.Sequence:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
+        return seqcore.Sequence.from_json(text)
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+        parser.error(f"bad sequence input {path}: {exc}")
 
 
 def _parse_endpoint(token: str, s, t):
@@ -89,7 +100,10 @@ def _parse_interval(text: str, s, t):
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("interval must be 'a,b'")
-    return (_parse_endpoint(parts[0], s, t), _parse_endpoint(parts[1], s, t))
+    a, b = _parse_endpoint(parts[0], s, t), _parse_endpoint(parts[1], s, t)
+    if not a < b:
+        raise ValueError("interval needs a < b")
+    return a, b
 
 
 def _spec_from_args(args, parser) -> seqcore.SigmaTauSpec:
@@ -127,7 +141,7 @@ def _cmd_gen(args, parser) -> int:
 
 
 def _cmd_classify(args, parser) -> int:
-    seq = _read_sequence(args.input)
+    seq = _read_sequence(args.input, parser)
     interval = None
     if args.interval is not None:
         try:
@@ -185,6 +199,10 @@ def _cmd_support(args, parser) -> int:
         emit_payload(cert.to_json())
         sys.stderr.write(f"hypothesis failure: {', '.join(exc.failed)}\n")
         return 1
+    except MomentLabError:
+        raise
+    except ValueError as exc:  # q or t <= 0
+        parser.error(str(exc))
 
 
 def _cmd_verify(args, parser) -> int:
@@ -235,7 +253,7 @@ def _cmd_transform(args, parser) -> int:
     if args.name is not None:
         _, seq = seqcore.catalog_sequence(args.name, args.n)
     elif args.input is not None:
-        seq = _read_sequence(args.input)
+        seq = _read_sequence(args.input, parser)
     else:
         parser.error("transform needs --name or --input")
     dens = measures.density_catalog(args.name) \
@@ -263,7 +281,7 @@ def _cmd_transform(args, parser) -> int:
     except GNegative as exc:
         sys.stderr.write(f"{exc}\n")
         return 1
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         parser.error(str(exc))
 
     if args.verify:
@@ -320,6 +338,29 @@ def _add_common(sub):
     sub.add_argument("--output", default=None, help="path or '-' for stdout")
 
 
+def _count(text):
+    """A non-negative integer option value."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _tolerance(text):
+    """A tolerance: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # rejected below with the same message
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number above 0, got {text!r}")
+    return value
+
+
 def _rational(text):
     try:
         return ensure_fraction(text)
@@ -340,12 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--s", type=_rational)
     gen.add_argument("--q", type=_rational)
     gen.add_argument("--t", type=_rational)
-    gen.add_argument("--n", type=int, required=True, help="largest index")
+    gen.add_argument("--n", type=_count, required=True, help="largest index")
     _add_common(gen)
 
     cla = subs.add_parser("classify", help="Hankel moment classification")
     cla.add_argument("--input", required=True, help="sequence JSON path or '-'")
-    cla.add_argument("--m", type=int, required=True)
+    cla.add_argument("--m", type=_count, required=True)
     cla.add_argument("--interval", default=None,
                      help="a,b with exact rationals or s-2sqrt(t),s+2sqrt(t)")
     cla.add_argument("--s", type=_rational, default=None)
@@ -357,14 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     sup.add_argument("--s", type=_rational, required=True)
     sup.add_argument("--q", type=_rational, required=True)
     sup.add_argument("--t", type=_rational, required=True)
-    sup.add_argument("--check", type=int, default=None,
+    sup.add_argument("--check", type=_count, default=None,
                      help="also run the chain-sequence certification to this depth")
     _add_common(sup)
 
     ver = subs.add_parser("verify", help="check a sequence against its density")
     ver.add_argument("--name", required=True)
-    ver.add_argument("--n", type=int, default=12)
-    ver.add_argument("--tol", type=float, default=None)
+    ver.add_argument("--n", type=_count, default=12)
+    ver.add_argument("--tol", type=_tolerance, default=None)
     ver.add_argument("--plot-csv", default=None,
                      help="also write (x, w(x)) samples to this path")
     _add_common(ver)
@@ -372,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     tra = subs.add_parser("transform", help="subsequence or linear combination")
     tra.add_argument("--name", default=None)
     tra.add_argument("--input", default=None)
-    tra.add_argument("--n", type=int, default=40, help="input prefix length - 1")
+    tra.add_argument("--n", type=_count, default=40, help="input prefix length - 1")
     tra.add_argument("--sub", default=None, help="d=2,l=0")
     tra.add_argument("--lincomb", default=None, help="'4,-1@1' for 4x - x^2")
     tra.add_argument("--interval", default=None)
@@ -380,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     tra.add_argument("--t", type=_rational, default=None)
     tra.add_argument("--verify", action="store_true",
                      help="compare against the transformed density")
-    tra.add_argument("--check-n", type=int, default=None)
-    tra.add_argument("--tol", type=float, default=None)
+    tra.add_argument("--check-n", type=_count, default=None)
+    tra.add_argument("--tol", type=_tolerance, default=None)
     _add_common(tra)
 
     ops = subs.add_parser("ops", help="monic orthogonal polynomials")
@@ -390,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     ops.add_argument("--s", type=_rational)
     ops.add_argument("--q", type=_rational)
     ops.add_argument("--t", type=_rational)
-    ops.add_argument("--deg", type=int, required=True)
+    ops.add_argument("--deg", type=_count, required=True)
     ops.add_argument("--zeros", action="store_true")
     _add_common(ops)
 
@@ -411,10 +452,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "tol", None) is None and args.command in ("verify", "transform"):
-        args.tol = _default_tol() if args.command == "verify" else max(_default_tol(), 1e-6)
+        args.tol = _default_tol(parser) if args.command == "verify" \
+            else max(_default_tol(parser), 1e-6)
     try:
         return _HANDLERS[args.command](args, parser)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
     except MomentLabError as exc:

@@ -21,9 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-from scipy.linalg import eigh_tridiagonal
-
 from .errors import InsufficientData, NotPositiveCase, QuasiDefiniteFailure
 from .exact import ensure_fraction, format_rational
 from .hankel import bareiss_det
@@ -230,6 +227,9 @@ class JacobiMatrix:
         return cls(diag, off)
 
     def eigenvalues(self) -> np.ndarray:
+        import numpy as np
+        from scipy.linalg import eigh_tridiagonal
+
         if len(self.diagonal) == 1:
             return np.array(self.diagonal)
         return eigh_tridiagonal(np.array(self.diagonal),

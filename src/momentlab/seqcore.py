@@ -12,8 +12,10 @@ families (Catalan, Motzkin, Schroeder, Delannoy, ...) all arise from
 eventually-constant data, abbreviated by a quadruple (p, s; q, t) meaning
 sigma = (p, s, s, ...) and tau = (q, t, t, ...).
 
-Everything in this module is exact: entries are Fractions and no
-floating point is involved anywhere.
+Everything in this module is exact and no floating point is involved
+anywhere.  Integral specs (every catalog family) are generated over
+Python ints and rational ones over Fractions; results are handed out as
+Fractions either way.
 """
 
 from __future__ import annotations
@@ -212,29 +214,39 @@ class Sequence:
         return "\n".join(format_rational(v) for v in self.values) + "\n"
 
 
-def recursive_matrix(spec: SigmaTauSpec, n_max: int) -> RecursiveMatrix:
-    """The (n_max+1)-row recursive matrix of the spec, exactly."""
+def _rows(spec: SigmaTauSpec, n_max: int):
+    """Yield rows r[0] .. r[n_max] of the recursive matrix, one at a time.
+
+    Coefficients with denominator 1 enter as ints, so an integral spec is
+    run entirely in int arithmetic and a rational one in Fractions.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    rows = [(Fraction(1),)]
-    for n in range(n_max):
-        prev = rows[-1]
 
-        def r(k):
-            return prev[k] if 0 <= k <= n else Fraction(0)
+    def exact(v: Fraction):
+        return v.numerator if v.denominator == 1 else v
 
-        rows.append(tuple(
-            r(k - 1) + spec.sigma(k) * r(k) + spec.tau(k + 1) * r(k + 1)
-            for k in range(n + 2)
-        ))
-    return RecursiveMatrix(tuple(rows))
+    sigma = [exact(spec.sigma(k)) for k in range(n_max + 1)]
+    tau = [exact(spec.tau(k + 1)) for k in range(n_max + 1)]  # tau[k] = t_{k+1}
+    row = [1]
+    yield row
+    for _ in range(n_max):
+        # r[n+1][k] = r[n][k-1] + s_k r[n][k] + t_{k+1} r[n][k+1], k = 0 .. n+1
+        row = [left + s * mid + t * right for left, s, mid, t, right in
+               zip([0] + row, sigma, row + [0], tau, row[1:] + [0, 0])]
+        yield row
+
+
+def recursive_matrix(spec: SigmaTauSpec, n_max: int) -> RecursiveMatrix:
+    """The (n_max+1)-row recursive matrix of the spec, exactly."""
+    return RecursiveMatrix(tuple(tuple(Fraction(v) for v in row)
+                                 for row in _rows(spec, n_max)))
 
 
 def catalan_like(spec: SigmaTauSpec, n_max: int) -> Sequence:
     """Column 0 of the recursive matrix: the Catalan-like numbers."""
-    matrix = recursive_matrix(spec, n_max)
-    return Sequence(matrix.column0, label=spec.label or "catalan-like",
-                    origin="recursive-matrix")
+    return Sequence(tuple(row[0] for row in _rows(spec, n_max)),
+                    label=spec.label or "catalan-like", origin="recursive-matrix")
 
 
 #: (p, s; q, t) shorthand for the classical families.

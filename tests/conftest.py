@@ -14,15 +14,9 @@ import math
 import pytest
 
 
-def naive_catalan_like(p, s, q, t, n_max):
-    """Memoized top-down evaluation of the recursive matrix, column 0."""
-    p, s, q, t = (Fraction(v) for v in (p, s, q, t))
-
-    def sigma(k):
-        return p if k == 0 else s
-
-    def tau(k):
-        return q if k == 1 else t
+def naive_column0(sigma, tau, n_max):
+    """Memoized top-down evaluation of the recursive matrix, column 0,
+    for coefficient functions sigma(k), k >= 0, and tau(k), k >= 1."""
 
     @lru_cache(maxsize=None)
     def r(n, k):
@@ -33,6 +27,13 @@ def naive_catalan_like(p, s, q, t, n_max):
         return r(n - 1, k - 1) + sigma(k) * r(n - 1, k) + tau(k + 1) * r(n - 1, k + 1)
 
     return [r(n, 0) for n in range(n_max + 1)]
+
+
+def naive_catalan_like(p, s, q, t, n_max):
+    """Column 0 for the quadruple (p, s; q, t)."""
+    p, s, q, t = (Fraction(v) for v in (p, s, q, t))
+    return naive_column0(lambda k: p if k == 0 else s,
+                         lambda k: q if k == 1 else t, n_max)
 
 
 def cofactor_det(rows):

@@ -1,12 +1,29 @@
 """CLI behaviour: flags, exit codes, and byte-identity with the library."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import momentlab as ml
 from momentlab.cli import main
+
+SRC = str(Path(ml.__file__).resolve().parents[1])
+
+
+def run_process(args, precision=None, cwd=None):
+    """Run ``python <args>`` in a fresh interpreter that imports the package
+    from this source tree."""
+    env = {k: v for k, v in os.environ.items() if k != "MOMENTLAB_PRECISION"}
+    env["PYTHONPATH"] = SRC
+    if precision is not None:
+        env["MOMENTLAB_PRECISION"] = precision
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
 
 
 def run(capsys, *argv):
@@ -217,3 +234,52 @@ def test_missing_input_file_exits_2(capsys):
     code, _, err = run(capsys, "classify", "--input", "/nonexistent.json",
                        "--m", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,sequence_file,precision", [
+    (("gen", "--name", "catalan", "--n", "-1"), None, None),
+    (("classify", "--m", "1", "--input"), b"[1, 2.5, 3]", None),
+    (("classify", "--m", "1", "--input"), b"[1, 2", None),
+    (("classify", "--m", "1", "--input"), b'[1, "1/0", 3]', None),
+    (("classify", "--m", "1", "--input"), b"\xff[1, 1, 2]", None),
+    (("classify", "--m", "-1", "--input"), b"[1, 1, 2]", None),
+    (("classify", "--m", "1", "--interval", "4,0", "--input"), b"[1, 1, 2]", None),
+    (("support", "--p", "1", "--s", "2", "--q", "1", "--t", "-1"), None, None),
+    (("ops", "--name", "catalan", "--deg", "-1"), None, None),
+    (("verify", "--name", "catalan", "--n", "5"), None, "abc"),
+    (("verify", "--name", "catalan", "--n", "5"), None, "-1"),
+    (("verify", "--name", "catalan", "--n", "5"), None, "nan"),
+])
+def test_bad_input_exits_2_without_traceback(tmp_path, argv, sequence_file, precision):
+    if sequence_file is not None:
+        (tmp_path / "seq.json").write_bytes(sequence_file)
+        argv += ("seq.json",)
+    proc = run_process(("-m", "momentlab.cli", *argv), precision, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr.strip().splitlines()[-1]
+
+
+_LOADED = """
+import sys
+from momentlab.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, sorted({"numpy", "scipy"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv,loads_scipy", [
+    ((), False),
+    (("gen", "--name", "delannoy", "--n", "30"), False),
+    (("classify", "--m", "4", "--input", "seq.json", "--interval", "0,4"), False),
+    (("verify", "--name", "motzkin", "--n", "8"), True),
+    (("ops", "--name", "catalan", "--deg", "5", "--zeros"), True),
+])
+def test_numpy_scipy_load_only_where_needed(tmp_path, argv, loads_scipy):
+    _, cat = ml.catalog_sequence("catalan", 12)
+    (tmp_path / "seq.json").write_text(cat.to_json())
+    proc = run_process(("-c", _LOADED, *argv), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0"
+    assert loaded == ("['numpy', 'scipy']" if loads_scipy else "[]")

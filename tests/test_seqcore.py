@@ -7,10 +7,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentlab as ml
-from conftest import EXPECTED_15, naive_catalan_like
+from conftest import EXPECTED_15, naive_column0
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 nonzero_rationals = small_rationals.filter(lambda v: v != 0)
+small_integers = st.integers(min_value=-4, max_value=4)
+nonzero_integers = small_integers.filter(lambda v: v != 0)
+specs = st.one_of(
+    st.builds(ml.make_spec, small_integers, small_integers,
+              nonzero_integers, nonzero_integers),
+    st.builds(ml.make_spec, small_rationals, small_rationals,
+              nonzero_rationals, nonzero_rationals),
+    st.builds(ml.spec_from_prefixes,
+              st.lists(small_integers | small_rationals, max_size=6),
+              small_integers | small_rationals,
+              st.lists(nonzero_integers | nonzero_rationals, max_size=6),
+              nonzero_integers | nonzero_rationals),
+)
 
 
 def test_make_spec_catalan():
@@ -109,12 +122,22 @@ def test_recurrence_reevaluates_exactly(p, s, q, t, n_max):
             assert m.entry(n + 1, k) == expected
 
 
-@given(p=small_rationals, s=small_rationals, q=nonzero_rationals,
-       t=nonzero_rationals)
-@settings(max_examples=25, deadline=None)
-def test_column0_matches_naive_recursion(p, s, q, t):
-    got = ml.catalan_like(ml.make_spec(p, s, q, t), 8)
-    assert list(got) == naive_catalan_like(p, s, q, t, 8)
+@given(spec=specs, n_max=st.integers(min_value=0, max_value=40))
+@settings(max_examples=80, deadline=None)
+def test_column0_matches_naive_recursion(spec, n_max):
+    got = ml.catalan_like(spec, n_max)
+    expected = naive_column0(spec.sigma, spec.tau, n_max)
+    assert list(got) == expected
+    matrix = ml.recursive_matrix(spec, n_max)
+    assert got.values == matrix.column0
+    assert all(type(v) is Fraction for v in got)
+    assert all(type(v) is Fraction for row in matrix.rows for v in row)
+    assert got.to_json() == ml.Sequence(
+        expected, label="catalan-like", origin="recursive-matrix").to_json()
+    with pytest.raises(ValueError):
+        ml.catalan_like(spec, -1)
+    with pytest.raises(ValueError):
+        ml.recursive_matrix(spec, -1)
 
 
 def test_prefix_with_explicit_lists():
