@@ -18,7 +18,15 @@ from momentlab import (
     riesz,
     true_interval_estimate,
 )
-from momentlab.orthopoly import _pmul
+
+
+def product(a, b):
+    """Ascending coefficients of the product of two polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
 
 spec, seq = catalog_sequence("catalan", 19)
 polys = ops_from_recurrence(spec, 4)
@@ -34,8 +42,8 @@ print("  ops_determinantal(y, n) == ops_from_recurrence(spec, n)[n] for n <= 4")
 
 print()
 print("Orthogonality under the moment functional L (x^n -> y_n):")
-p2p3 = _pmul(polys[2].coefficients, polys[3].coefficients)
-p3p3 = _pmul(polys[3].coefficients, polys[3].coefficients)
+p2p3 = product(polys[2].coefficients, polys[3].coefficients)
+p3p3 = product(polys[3].coefficients, polys[3].coefficients)
 print("  L[P_2 P_3] =", riesz(seq, p2p3))
 print("  L[P_3 P_3] =", riesz(seq, p3p3))
 

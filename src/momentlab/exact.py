@@ -21,11 +21,12 @@ def ensure_fraction(x) -> Fraction:
     """Coerce ints, Fractions and 'num/den' strings to an exact Fraction.
 
     Floats are rejected on purpose: exact pipelines must never be seeded
-    with binary approximations by accident.
+    with binary approximations by accident.  So are bools, which Python
+    counts as ints but JSON input means as true/false, not 1/0.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x.strip())

@@ -15,10 +15,16 @@ where E is the left-shift operator.  A finite prefix can only verify
 these up to some order, so every report states the largest order it
 actually checked and never claims the infinite statement.
 
-All decisions here are exact: determinants by fraction-free (Bareiss)
-elimination, definiteness by pivoted LDL^T over the rationals (or over a
-quadratic field when interval endpoints are irrational), and the
-semidefinite-singular boundary confirmed by exhaustive principal minors.
+All decisions here are exact.  One Chebyshev recursion per sequence
+gives the norms N_k = delta_k / delta_{k-1} of its monic orthogonal
+polynomials, so H_k is positive definite exactly when N_0..N_k > 0.
+From the first order where that fails, pivoted LDL^T over the rationals
+(or over a quadratic field when interval endpoints are irrational)
+decides each order: it yields a witness vector for an indefinite matrix,
+and a semidefinite-singular verdict carries its own certificate, the
+congruence M = P L D L^T P^T with D >= 0 (also cross-checked by
+exhaustive principal minors up to 12 x 12).  Determinants past the
+first vanishing norm come from fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -148,6 +155,37 @@ def bareiss_det(rows):
 def hankel_det(y, m: int):
     """The Hankel determinant det H_m(y), exactly."""
     return bareiss_det(hankel_matrix(y, m).rows)
+
+
+def _chebyshev(vals, n: int):
+    """Chebyshev's algorithm over exact scalars, O(n * len(vals)).
+
+    For the functional L[x^l] = vals[l] it builds the rows
+    sigma_{k,l} = L[P_k x^l] of the monic orthogonal polynomials P_k
+    (Gautschi, Orthogonal Polynomials, 2004, section 2.1.7) and returns
+    ``(norms, alphas)``: norms[k] = L[P_k^2] = delta_k / delta_{k-1} for
+    k = 0..n, and alphas[k] = s_k, the recurrence coefficient
+    L[x P_k^2] / L[P_k^2], for each k the data reach (2k+2 values).  Both
+    stop after the first zero norm, beyond which P_{k+1} does not exist.
+    Needs len(vals) >= 2n+1; only + - * / and comparisons are used, so
+    Fraction and Surd values both work.
+    """
+    zero = Fraction(0)
+    size = len(vals)
+    prev, row = [zero] * size, list(vals)
+    norms, alphas = [], []
+    for k in range(n + 1):
+        norm = row[k]
+        norms.append(norm)
+        if norm == 0 or 2 * k + 2 > size:
+            break
+        alpha = row[k + 1] / norm - (prev[k] / norms[k - 1] if k else zero)
+        beta = norm / norms[k - 1] if k else zero
+        alphas.append(alpha)
+        prev, row = row, [zero] * (k + 1) + [
+            row[l + 1] - alpha * row[l] - beta * prev[l]
+            for l in range(k + 1, size - k - 1)]
+    return norms, alphas
 
 
 @dataclass(frozen=True)
@@ -302,9 +340,14 @@ _MINOR_FALLBACK_LIMIT = 12
 def psd_status(M: SymMatrix) -> PsdVerdict:
     """Exact definiteness of a symmetric matrix.
 
-    Pivoted LDL^T over the scalars decides the definite and indefinite
-    cases; a rank-deficient nonnegative elimination is confirmed by the
-    exhaustive principal-minor criterion before reporting PSD-singular.
+    Pivoted LDL^T over the scalars decides every case.  A negative
+    diagonal entry, or a zero diagonal with a nonzero off-diagonal entry,
+    in the current Schur block yields a witness v with v^T M v < 0.  When
+    the remaining Schur block is exactly zero, the elimination itself is
+    the certificate: M = P L D L^T P^T with D = diag(pivots) >= 0, so M
+    is PSD, and singular when fewer pivots than rows were taken.  Up to
+    _MINOR_FALLBACK_LIMIT rows that verdict is also cross-checked by the
+    exhaustive principal-minor criterion.
     """
     n = M.order + 1
     rows = [list(r) for r in M.rows]
@@ -401,6 +444,15 @@ def shift(y, j: int = 1):
     return vals[j:]
 
 
+def _combination_sequence(vals, a, b, length: int):
+    """z_n = (a+b) y_{n+1} - y_{n+2} - ab y_n for n < length, so that
+    H_m(z) is the interval combination matrix."""
+    asum = collapse(a + b)
+    aprod = collapse(a * b)
+    return tuple(collapse(asum * vals[n + 1] - vals[n + 2] - aprod * vals[n])
+                 for n in range(length))
+
+
 def hausdorff_combination(y, a, b, m: int) -> SymMatrix:
     """The matrix (a+b) H_m(Ey) - H_m(E^2 y) - ab H_m(y).
 
@@ -412,13 +464,7 @@ def hausdorff_combination(y, a, b, m: int) -> SymMatrix:
     need = 2 * m + 3
     if len(vals) < need:
         raise InsufficientData(f"need {need} values for order {m}, have {len(vals)}")
-    asum = collapse(a + b)
-    aprod = collapse(a * b)
-    return SymMatrix(tuple(
-        tuple(collapse(asum * vals[i + j + 1] - vals[i + j + 2] - aprod * vals[i + j])
-              for j in range(m + 1))
-        for i in range(m + 1)
-    ))
+    return hankel_matrix(_combination_sequence(vals, a, b, 2 * m + 1), m)
 
 
 @dataclass(frozen=True)
@@ -510,6 +556,28 @@ class MomentClassReport:
         return not self.failure_witnesses
 
 
+def _scan(vals, n: int):
+    """Verdicts on H_0(vals)..H_n(vals) up to the first order that is not PSD.
+
+    Returns ``(norms, statuses, order, verdict)``: the Chebyshev norms,
+    one status per order checked, and the first order that is not PSD
+    with its verdict (None, None when every order through n is PSD).
+    Orders with N_0..N_k > 0 are positive definite by Sylvester's
+    criterion; pivoted elimination runs only from the first other order.
+    """
+    norms, _ = _chebyshev(vals, n)
+    pd = 0
+    while pd < len(norms) and norms[pd] > 0:
+        pd += 1
+    statuses = [PsdVerdict.POSITIVE_DEFINITE] * pd
+    for k in range(pd, n + 1):
+        verdict = psd_status(hankel_matrix(vals, k))
+        statuses.append(verdict.status)
+        if not verdict.is_psd:
+            return norms, statuses, k, verdict
+    return norms, statuses, None, None
+
+
 def classify(y, m: int, interval=None) -> MomentClassReport:
     """Run the Hankel criteria family by family up to order m.
 
@@ -518,6 +586,9 @@ def classify(y, m: int, interval=None) -> MomentClassReport:
     whatever the data supports.  Checking stops at the first failing
     order of each family since a failure at order k forces failures at
     every higher order.
+
+    One Chebyshev recursion each on y, Ey and the interval combination
+    sequence decides every positive definite order; see ``_scan``.
     """
     vals = _values(y)
     if len(vals) < 2 * m + 1:
@@ -525,30 +596,22 @@ def classify(y, m: int, interval=None) -> MomentClassReport:
 
     failures = []
 
-    ham_status = []
-    ham_ok = m
-    for k in range(m + 1):
-        verdict = psd_status(hankel_matrix(vals, k))
-        ham_status.append(verdict.status)
-        if not verdict.is_psd:
-            ham_ok = k - 1
-            failures.append(("hamburger", k, verdict))
-            break
+    norms, ham_status, ham_fail, ham_bad = _scan(vals, m)
+    ham_ok = m if ham_fail is None else ham_fail - 1
+    if ham_fail is not None:
+        failures.append(("hamburger", ham_fail, ham_bad))
 
     sh_checked = min(m, (len(vals) - 2) // 2)
-    sh_status = []
-    sh_ok = sh_checked
-    for k in range(sh_checked + 1):
-        verdict = psd_status(hankel_matrix(vals, k, shift=1))
-        sh_status.append(verdict.status)
-        if not verdict.is_psd:
-            sh_ok = k - 1
-            failures.append(("stieltjes-shifted", k, verdict))
-            break
+    _, sh_status, sh_fail, sh_bad = _scan(vals[1:], sh_checked)
+    sh_ok = sh_checked if sh_fail is None else sh_fail - 1
+    if sh_fail is not None:
+        failures.append(("stieltjes-shifted", sh_fail, sh_bad))
 
     stieltjes_ok = min(ham_ok, sh_ok)
 
-    deltas = tuple(hankel_det(vals, k) for k in range(m + 1))
+    # delta_k = N_0 ... N_k until the first vanishing norm
+    deltas = [collapse(d) for d in itertools.accumulate(norms, operator.mul)]
+    deltas += [hankel_det(vals, k) for k in range(len(deltas), m + 1)]
 
     hs_interval = None
     hs_ok = None
@@ -559,24 +622,28 @@ def classify(y, m: int, interval=None) -> MomentClassReport:
         a, b = interval
         hs_interval = (a, b)
         hs_checked = min(m, (len(vals) - 3) // 2)
-        status = []
         hs_ok = hs_checked
-        for k in range(hs_checked + 1):
-            verdict = hausdorff_test(vals, a, b, k)
-            status.append("pass" if verdict.passed else "fail")
-            if not verdict.passed:
-                hs_ok = k - 1
-                bad = verdict.combination if not verdict.combination.is_psd else verdict.base
-                failures.append(("hausdorff", k, bad))
-                break
-        hs_status = tuple(status)
+        if hs_checked >= 0:
+            if not (a < b):
+                raise ValueError("need a < b")
+            # an order fails when H_k(y) or the combination matrix is not
+            # PSD; the combination verdict wins when both fail there
+            top = hs_checked if ham_fail is None else min(hs_checked, ham_fail)
+            z = _combination_sequence(vals, a, b, 2 * top + 1)
+            _, _, fail, bad = _scan(z, top)
+            if fail is None and ham_fail is not None and ham_fail <= hs_checked:
+                fail, bad = ham_fail, ham_bad
+            if fail is not None:
+                hs_ok = fail - 1
+                failures.append(("hausdorff", fail, bad))
+        hs_status = ("pass",) * (hs_ok + 1) + (("fail",) if hs_ok < hs_checked else ())
         determinate = hs_ok == hs_checked and hs_checked >= 0
 
     return MomentClassReport(
         max_order=m,
         hamburger_ok_up_to=ham_ok,
         stieltjes_ok_up_to=stieltjes_ok,
-        delta_values=deltas,
+        delta_values=tuple(deltas),
         hamburger_status=tuple(ham_status),
         shifted_status=tuple(sh_status),
         stieltjes_checked_up_to=sh_checked,

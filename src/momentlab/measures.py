@@ -258,8 +258,11 @@ def verify_representation(y, dens: Density, n_max: int, tol: float = 1e-7,
     """Compare y_0 .. y_{n_max} against the density's moments.
 
     Pass/fail is decided on the maximum relative error (absolute error
-    for targets below 1 in magnitude).
+    for targets below 1 in magnitude).  ``tol`` must be a finite number
+    above 0.
     """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a finite number above 0, got {tol!r}")
     vals = y.values if isinstance(y, Sequence) else tuple(y)
     if len(vals) < n_max + 1:
         raise InsufficientData(f"need {n_max + 1} values, have {len(vals)}")

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import InsufficientData, NotPositiveCase, QuasiDefiniteFailure
 from .exact import ensure_fraction, format_rational
-from .hankel import bareiss_det
+from .hankel import _chebyshev, _values, bareiss_det
 from .seqcore import Sequence, SigmaTauSpec
 
 __all__ = [
@@ -36,15 +36,6 @@ __all__ = [
     "ops_zeros",
     "true_interval_estimate",
 ]
-
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return tuple(out)
 
 
 def _paxpy(alpha, a, b):
@@ -149,37 +140,22 @@ def recurrence_from_moments(y, n: int):
     """Recover (s_0..s_{n-1}, t_1..t_{n-1}) from a moment prefix.
 
     Uses s_k = L[x P_k^2] / L[P_k^2] and t_k = L[P_k^2] / L[P_{k-1}^2],
-    building the polynomials as it goes.  Raises QuasiDefiniteFailure(k)
-    as soon as L[P_k^2] = 0, which happens exactly when the order-k
-    Hankel determinant vanishes.
+    read off Chebyshev's algorithm in O(n^2) exact operations, without
+    forming the polynomials.  Raises QuasiDefiniteFailure(k) as soon as
+    L[P_k^2] = 0, which happens exactly when the order-k Hankel
+    determinant vanishes.
     """
-    vals = y.values if isinstance(y, Sequence) else tuple(y)
+    vals = _values(y)
     if n < 1:
         raise ValueError("need n >= 1")
     if len(vals) < 2 * n:
         raise InsufficientData(f"need {2 * n} moments for depth {n}, have {len(vals)}")
 
-    sigma = []
-    tau = []
-    p_prev = (Fraction(0),)
-    p_cur = (Fraction(1),)
-    norm_prev = None
-    for k in range(n):
-        sq = _pmul(p_cur, p_cur)
-        norm = riesz(vals, sq)
-        if norm == 0:
-            raise QuasiDefiniteFailure(k)
-        sigma.append(riesz(vals, (Fraction(0),) + sq) / norm)
-        if k >= 1:
-            tau.append(norm / norm_prev)
-        norm_prev = norm
-        if k < n - 1:
-            shifted = (Fraction(0),) + p_cur
-            nxt = _paxpy(-sigma[-1], p_cur, shifted)
-            if k >= 1:
-                nxt = _paxpy(-tau[-1], p_prev, nxt)
-            p_prev, p_cur = p_cur, nxt
-    return tuple(sigma), tuple(tau)
+    norms, alphas = _chebyshev(vals[:2 * n], n - 1)
+    if norms[-1] == 0:
+        raise QuasiDefiniteFailure(len(norms) - 1)
+    tau = tuple(norms[k] / norms[k - 1] for k in range(1, n))
+    return tuple(alphas), tau
 
 
 def ops_determinantal(y, n: int) -> MonicPolynomial:

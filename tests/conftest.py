@@ -4,11 +4,15 @@ Everything here is deliberately independent of the library's production
 code paths: the recursive-matrix oracle is a plain memoized recursion
 (the library builds rows iteratively), determinant oracles use cofactor
 expansion (the library uses fraction-free elimination), and the closed
-forms come straight from classical formulas.
+forms come straight from classical formulas.  The two references at the
+end are the straightforward algorithms the library's Chebyshev recursion
+replaced: classification that decides every Hankel matrix by elimination
+order by order, and recovery that squares the orthogonal polynomials.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+import itertools
 import math
 
 import pytest
@@ -51,6 +55,21 @@ def cofactor_det(rows):
         term = head * cofactor_det(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def principal_minors_nonneg(rows):
+    """Exhaustive principal-minor criterion for PSD over Fractions.
+
+    Returns (ok, failing_subset, value); a symmetric matrix is PSD
+    exactly when every principal minor is nonnegative.
+    """
+    n = len(rows)
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            value = cofactor_det([[rows[i][j] for j in subset] for i in subset])
+            if value < 0:
+                return False, subset, value
+    return True, None, None
 
 
 # -- classical closed forms ---------------------------------------------
@@ -170,3 +189,117 @@ def catalog_prefixes():
         spec, seq = ml.catalog_sequence(name, 25)
         out[name] = (spec, seq)
     return out
+
+
+# -- reference paths ------------------------------------------------------
+
+def reference_classify(y, m, interval=None):
+    """``classify`` as one elimination per order and per family."""
+    import momentlab as ml
+
+    vals = tuple(y)
+    if len(vals) < 2 * m + 1:
+        raise ml.InsufficientData(f"need {2 * m + 1} values for order {m}")
+
+    failures = []
+
+    ham_status = []
+    ham_ok = m
+    for k in range(m + 1):
+        verdict = ml.psd_status(ml.hankel_matrix(vals, k))
+        ham_status.append(verdict.status)
+        if not verdict.is_psd:
+            ham_ok = k - 1
+            failures.append(("hamburger", k, verdict))
+            break
+
+    sh_checked = min(m, (len(vals) - 2) // 2)
+    sh_status = []
+    sh_ok = sh_checked
+    for k in range(sh_checked + 1):
+        verdict = ml.psd_status(ml.hankel_matrix(vals, k, shift=1))
+        sh_status.append(verdict.status)
+        if not verdict.is_psd:
+            sh_ok = k - 1
+            failures.append(("stieltjes-shifted", k, verdict))
+            break
+
+    deltas = tuple(ml.hankel_det(vals, k) for k in range(m + 1))
+
+    hs_interval = hs_ok = hs_checked = determinate = None
+    hs_status = ()
+    if interval is not None:
+        a, b = interval
+        hs_interval = (a, b)
+        hs_checked = min(m, (len(vals) - 3) // 2)
+        status = []
+        hs_ok = hs_checked
+        for k in range(hs_checked + 1):
+            verdict = ml.hausdorff_test(vals, a, b, k)
+            status.append("pass" if verdict.passed else "fail")
+            if not verdict.passed:
+                hs_ok = k - 1
+                bad = verdict.combination if not verdict.combination.is_psd else verdict.base
+                failures.append(("hausdorff", k, bad))
+                break
+        hs_status = tuple(status)
+        determinate = hs_ok == hs_checked and hs_checked >= 0
+
+    return ml.MomentClassReport(
+        max_order=m,
+        hamburger_ok_up_to=ham_ok,
+        stieltjes_ok_up_to=min(ham_ok, sh_ok),
+        delta_values=deltas,
+        hamburger_status=tuple(ham_status),
+        shifted_status=tuple(sh_status),
+        stieltjes_checked_up_to=sh_checked,
+        hausdorff_interval=hs_interval,
+        hausdorff_ok_up_to=hs_ok,
+        hausdorff_checked_up_to=hs_checked,
+        hausdorff_status=hs_status,
+        determinate=determinate,
+        failure_witnesses=tuple(failures),
+    )
+
+
+def poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def reference_recurrence(y, n):
+    """``recurrence_from_moments`` by building and squaring each P_k:
+    s_k = L[x P_k^2] / L[P_k^2], t_k = L[P_k^2] / L[P_{k-1}^2]."""
+    import momentlab as ml
+
+    vals = [Fraction(v) for v in y]
+    if len(vals) < 2 * n:
+        raise ml.InsufficientData(f"need {2 * n} moments for depth {n}")
+
+    def L(coeffs, shift=0):
+        return sum((c * vals[i + shift] for i, c in enumerate(coeffs)), Fraction(0))
+
+    sigma, tau = [], []
+    p_prev, p_cur = [Fraction(0)], [Fraction(1)]
+    norm_prev = None
+    for k in range(n):
+        sq = poly_mul(p_cur, p_cur)
+        norm = L(sq)
+        if norm == 0:
+            raise ml.QuasiDefiniteFailure(k)
+        sigma.append(L(sq, shift=1) / norm)
+        if k >= 1:
+            tau.append(norm / norm_prev)
+        norm_prev = norm
+        # P_{k+1} = (x - s_k) P_k - t_k P_{k-1}
+        nxt = [Fraction(0)] + p_cur
+        for i, c in enumerate(p_cur):
+            nxt[i] -= sigma[-1] * c
+        if k >= 1:
+            for i, c in enumerate(p_prev):
+                nxt[i] -= tau[-1] * c
+        p_prev, p_cur = p_cur, nxt
+    return tuple(sigma), tuple(tau)

@@ -249,6 +249,7 @@ def test_missing_input_file_exits_2(capsys):
     (("verify", "--name", "catalan", "--n", "5"), None, "abc"),
     (("verify", "--name", "catalan", "--n", "5"), None, "-1"),
     (("verify", "--name", "catalan", "--n", "5"), None, "nan"),
+    (("classify", "--m", "1", "--input"), b"[true, false, 1, 2, 5]", None),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, sequence_file, precision):
     if sequence_file is not None:

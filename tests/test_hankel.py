@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentlab as ml
-from conftest import cofactor_det
+from conftest import (
+    cofactor_det,
+    principal_minors_nonneg,
+    reference_classify,
+)
 
 entries = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+positive = st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4)
 
 
 def atomic_moments(pairs, n_terms):
@@ -110,22 +115,35 @@ def test_psd_zero_matrix():
     assert ml.psd_status(M).status == "positive_semidefinite_singular"
 
 
-@given(st.integers(min_value=1, max_value=4), st.data())
-@settings(max_examples=40, deadline=None)
-def test_psd_verdicts_reverify(n, data):
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = data.draw(entries)
+@given(st.integers(min_value=1, max_value=5), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_psd_verdicts_reverify(n, gram, data):
+    if gram:
+        # V^T D V with fewer atoms than rows: PSD and singular
+        r = data.draw(st.integers(min_value=0, max_value=n - 1))
+        V = [[data.draw(entries) for _ in range(n)] for _ in range(r)]
+        D = [data.draw(positive) for _ in range(r)]
+        rows = [[sum((D[a] * V[a][i] * V[a][j] for a in range(r)), Fraction(0))
+                 for j in range(n)] for i in range(n)]
+    else:
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = data.draw(entries)
     M = ml.SymMatrix(tuple(tuple(r) for r in rows))
     v = ml.psd_status(M)
+    if gram:
+        assert v.status == "positive_semidefinite_singular"
     if v.status == "indefinite":
         assert M.quadratic_form(v.witness) < 0
     else:
-        ok, subset, value = ml.hankel._all_principal_minors_nonneg(M.rows)
+        ok, subset, value = principal_minors_nonneg(M.rows)
         assert ok, f"claimed PSD but minor {subset} = {value}"
         if v.status == "positive_definite":
             assert all(p > 0 for p in v.pivots)
+        else:
+            assert cofactor_det(M.rows) == 0
+            assert len(v.pivots) == n and all(p >= 0 for p in v.pivots)
 
 
 # -- total positivity ----------------------------------------------------
@@ -285,3 +303,55 @@ def test_positive_definite_catalog_cross_check():
         assert report.hamburger_ok_up_to == 8
         assert all(d > 0 for d in report.delta_values)
         assert all(s == "positive_definite" for s in report.hamburger_status)
+
+
+# -- classify against the per-order reference ------------------------------
+
+@st.composite
+def intervals(draw):
+    """No interval, a rational [a, b], or the conjugate s -/+ 2 sqrt(t)."""
+    kind = draw(st.sampled_from(["none", "rational", "conjugate"]))
+    if kind == "none":
+        return None
+    if kind == "rational":
+        a = draw(entries)
+        return a, a + draw(positive)
+    s = draw(st.integers(min_value=-2, max_value=6))
+    root = ml.sqrt_exact(draw(st.integers(min_value=1, max_value=6)))
+    return s - 2 * root, s + 2 * root
+
+
+def assert_matches_reference(y, m, interval):
+    assert (ml.classify(y, m, interval=interval).to_json()
+            == reference_classify(y, m, interval=interval).to_json())
+
+
+def test_classify_matches_reference_on_catalog():
+    for name in ml.catalog_names():
+        _, s, _, t = ml.CATALOG[name]
+        root = ml.sqrt_exact(t)
+        for m in (0, 1, 5, 12):
+            _, seq = ml.catalog_sequence(name, 2 * m + 3)
+            for interval in (None, (Fraction(0), Fraction(8)),
+                             (s - 2 * root, s + 2 * root),
+                             (Fraction(0), s + 2 * root),
+                             (Fraction(1), Fraction(2))):
+                assert_matches_reference(seq, m, interval)
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=8),
+       st.integers(min_value=0, max_value=2), intervals(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_classify_matches_reference_on_atomic_measures(rank, m, extra, interval, data):
+    pairs = [(data.draw(positive), data.draw(entries)) for _ in range(rank)]
+    assert_matches_reference(atomic_moments(pairs, 2 * m + 1 + extra), m, interval)
+
+
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=2),
+       intervals(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_classify_matches_reference_on_rational_prefixes(m, extra, interval, data):
+    # extra < 2 caps the shifted and interval checks below m
+    size = 2 * m + 1 + extra
+    y = data.draw(st.lists(entries, min_size=size, max_size=size))
+    assert_matches_reference(y, m, interval)

@@ -65,6 +65,9 @@ def test_verify_representation_mismatch():
     assert not report.passed
     n, target, computed, abs_err, rel_err = report.rows[1]
     assert target == 1.0 and computed == pytest.approx(2.0, abs=1e-8)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            ml.verify_representation(cat, dens, 4, bad)
 
 
 def test_subsequence_transform_interleaved():

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import momentlab as ml
-from momentlab.orthopoly import _pmul
+from conftest import poly_mul, reference_recurrence
 
 
 def test_p0_is_one():
@@ -53,9 +54,9 @@ def test_orthogonality_under_riesz():
         polys = ml.ops_from_recurrence(spec, 6)
         for m in range(7):
             for n in range(m):
-                prod = _pmul(polys[m].coefficients, polys[n].coefficients)
+                prod = poly_mul(polys[m].coefficients, polys[n].coefficients)
                 assert ml.riesz(seq, prod) == 0
-            sq = _pmul(polys[m].coefficients, polys[m].coefficients)
+            sq = poly_mul(polys[m].coefficients, polys[m].coefficients)
             assert ml.riesz(seq, sq) != 0
 
 
@@ -164,5 +165,23 @@ def test_positivity_link():
         _, seq = ml.catalog_sequence(name, 17)
         report = ml.classify(seq, 8)
         assert report.hamburger_ok_up_to == 8
-        _, tau = ml.recurrence_from_moments(seq, 8)
-        assert all(t > 0 for t in tau)
+        recovered = ml.recurrence_from_moments(seq, 8)
+        assert recovered == reference_recurrence(seq, 8)
+        assert all(t > 0 for t in recovered[1])
+
+
+def recovery_outcome(recover, y, n):
+    try:
+        return recover(y, n)
+    except ml.QuasiDefiniteFailure as exc:
+        return exc.order
+
+
+@given(st.integers(min_value=1, max_value=6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_recovery_matches_reference_on_rational_prefixes(n, data):
+    # small entries make vanishing norms, and so failure orders, common
+    y = data.draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=2),
+                           min_size=2 * n, max_size=2 * n + 2))
+    assert (recovery_outcome(ml.recurrence_from_moments, y, n)
+            == recovery_outcome(reference_recurrence, y, n))
