@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisFailure, LengthMismatch, PoleAt, ZeroTau
-from .exact import collapse, ensure_fraction, format_rational, is_exact, sqrt_exact
+from .exact import collapse, ensure_fraction, format_rational, is_exact, sign_changes, sqrt_exact
 from .orthopoly import true_interval_estimate
 from .seqcore import SigmaTauSpec
 
@@ -326,19 +326,16 @@ class SupportReport:
         })
 
 
-# slack for the floating-point eigenvalue cross-check
-_ZERO_SLACK = 1e-9
-
-
 def certify_support(spec: SigmaTauSpec, n_check: int = 200,
                     zeros_order: int = 50) -> SupportReport:
     """Certify [s - 2 sqrt(t), s + 2 sqrt(t)] for a shorthand spec.
 
     Runs the exact chain recursion at both endpoints for ``n_check``
     steps, closes the infinite tail with the constant-1/4 argument,
-    verifies s_n stays strictly between the endpoints, and cross-checks
-    that the extreme zeros of the degree-``zeros_order`` polynomial fall
-    inside the interval (within floating slack).
+    verifies s_n stays strictly between the endpoints, and decides exactly
+    that the zeros of P_n, n = ``zeros_order``, lie in [a, b]: P_0 .. P_n
+    is a Sturm sequence, so the sign changes of P_k(b) and (-1)^k P_k(a)
+    count the zeros above b and below a (``zeros_interval`` is for display).
     """
     short = spec.shorthand
     if short is None:
@@ -364,8 +361,16 @@ def certify_support(spec: SigmaTauSpec, n_check: int = 200,
     left_chain, left_tail = chain_side(a)
     right_chain, right_tail = chain_side(b)
 
+    def ops_values(x):
+        # P_0(x) .. P_n(x) by the three-term recurrence
+        vals = [Fraction(1), x - spec.sigma(0)]
+        for k in range(1, zeros_order):
+            vals.append((x - spec.sigma(k)) * vals[-1] - spec.tau(k) * vals[-2])
+        return vals[:zeros_order + 1]
+
+    zeros_ok = (sign_changes(ops_values(b)) == 0 and sign_changes(
+        (-1) ** k * v for k, v in enumerate(ops_values(a))) == 0)
     lo, hi = true_interval_estimate(spec, zeros_order)
-    zeros_ok = (lo >= float(a) - _ZERO_SLACK) and (hi <= float(b) + _ZERO_SLACK)
 
     return SupportReport(
         certificate=cert,

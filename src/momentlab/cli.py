@@ -243,6 +243,8 @@ def _parse_lincomb(text: str):
     """Coefficients 'c0,c1,...[@shift]' meaning g(x) = sum c_i x^(shift+i)."""
     body, _, shift_text = text.partition("@")
     shift = int(shift_text) if shift_text else 0
+    if shift < 0:
+        raise ValueError(f"--lincomb shift must be >= 0, got {shift}")
     coeffs = [ensure_fraction(tok.strip()) for tok in body.split(",")]
     return tuple([Fraction(0)] * shift + coeffs)
 
@@ -267,7 +269,6 @@ def _cmd_transform(args, parser) -> int:
             out = measures.subsequence_transform(seq, d, l)
         else:
             g = _parse_lincomb(args.lincomb)
-            interval = None
             if args.interval is not None:
                 interval = _parse_interval(args.interval, args.s, args.t)
             elif dens is not None:
@@ -289,8 +290,11 @@ def _cmd_transform(args, parser) -> int:
             parser.error("--verify needs a catalog density input")
         n_top = args.check_n if args.check_n is not None else 8
         n_top = min(n_top, len(out) - 1)
-        report = measures.verify_transform_consistency(seq, tspec, dens,
-                                                       n_top, tol=args.tol)
+        try:
+            report = measures.verify_transform_consistency(seq, tspec, dens,
+                                                           n_top, tol=args.tol)
+        except ValueError as exc:  # e.g. x -> x^d on an interval below 0
+            parser.error(str(exc))
         _emit(report.to_json() if args.format != "csv" else report.to_csv(),
               args.output)
         return 0 if report.passed else 1

@@ -255,3 +255,9 @@ def collapse(x):
 def is_exact(x) -> bool:
     """True for scalars that support exact arithmetic and ordering."""
     return isinstance(x, (int, Fraction, Surd))
+
+
+def sign_changes(values) -> int:
+    """Sign changes along a sequence of exact values, zeros dropped."""
+    signs = [v > 0 for v in values if v != 0]
+    return sum(p != q for p, q in zip(signs, signs[1:]))

@@ -620,12 +620,12 @@ def classify(y, m: int, interval=None) -> MomentClassReport:
     determinate = None
     if interval is not None:
         a, b = interval
+        if not (a < b):
+            raise ValueError("need a < b")
         hs_interval = (a, b)
         hs_checked = min(m, (len(vals) - 3) // 2)
         hs_ok = hs_checked
         if hs_checked >= 0:
-            if not (a < b):
-                raise ValueError("need a < b")
             # an order fails when H_k(y) or the combination matrix is not
             # PSD; the combination verdict wins when both fail there
             top = hs_checked if ham_fail is None else min(hs_checked, ham_fail)

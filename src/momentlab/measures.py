@@ -22,7 +22,8 @@ Two transforms act on moment sequences and densities together:
 * linear combinations  sum_j g_j y_{k+j} for a polynomial g >= 0 on the
   interval, with density g(x) w(x).
 
-Sequence-side arithmetic stays exact; only quadrature is floating point.
+Sequence-side arithmetic and the decision g >= 0 (a Sturm sign count at
+exact points) stay exact; only quadrature is floating point.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import GNegative, InsufficientData, NonIntegrable, TooShort, UnknownName
-from .exact import Surd, ensure_fraction, is_exact
+from .exact import Surd, collapse, ensure_fraction, is_exact, sign_changes
 from .hankel import SymMatrix
+from .orthopoly import _pdivmod, _ptrim
 from .seqcore import Sequence
 
 __all__ = [
@@ -382,9 +384,9 @@ def pattern_is_stieltjes_preserving(indices) -> PatternVerdict:
 @dataclass(frozen=True)
 class GVerdict:
     status: str
-    violation_x: float = None
+    violation_x: object = None
 
-    CERTIFIED = "certified_nonneg_numeric"
+    CERTIFIED = "certified_nonneg"
     VIOLATED = "violated"
 
     @property
@@ -399,78 +401,54 @@ def _poly_eval(coeffs, x):
     return acc
 
 
-def check_g_nonneg(g, a, b, grid: int = 512) -> GVerdict:
-    """Check g >= 0 on [a, b] on a dense grid plus the critical points.
+def check_g_nonneg(g, a, b) -> GVerdict:
+    """Decide g >= 0 on [a, b] exactly, by Sturm's theorem.
 
-    Interior critical points are located by bisection on sign changes of
-    g'.  Exact endpoints and rational grid points are evaluated exactly
-    when the coefficients are exact; the verdict is still a numeric
-    certificate, not an algebraic proof.
+    The remainder chain of g and g', divided by gcd(g, g'), is a Sturm chain
+    of g's squarefree part, so its sign changes at u minus those at v count
+    the distinct roots of g in (u, v].  [a, b] is bisected, never at a root,
+    until each closed piece holds at most one, so g < 0 somewhere exactly
+    when g < 0 at a piece endpoint, returned as the exact ``violation_x``.
+    Coefficients and endpoints must be exact.
     """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    coeffs = [ensure_fraction(c) if is_exact(c) else c for c in g]
-    exact = all(is_exact(c) for c in coeffs) and is_exact(a) and is_exact(b)
-    scale = max(1.0, max(abs(float(c)) for c in coeffs)) * max(1.0, abs(float(b)), abs(float(a))) ** max(len(coeffs) - 1, 1)
-    slack = 1e-12 * scale
+    if not (is_exact(a) and is_exact(b)):
+        raise TypeError(f"interval endpoints must be exact, got {a!r}, {b!r}")
+    if a > b:
+        raise ValueError("need a <= b")
+    g = _ptrim(ensure_fraction(c) for c in g)
+    if not g:
+        return GVerdict(GVerdict.CERTIFIED)
+    chain = [g, [k * c for k, c in enumerate(g)][1:]]
+    while chain[-1]:
+        chain.append([-c for c in _pdivmod(chain[-2], chain[-1])[1]])
+    chain = [_pdivmod(q, chain[-2])[0] for q in chain[:-1]]
 
-    if exact:
-        span = b - a
-        for k in range(grid):
-            x = a + span * Fraction(k, grid - 1)
-            if _poly_eval(coeffs, x) < 0:
-                return GVerdict(GVerdict.VIOLATED, float(x))
-    else:
-        fa, fb = float(a), float(b)
-        for k in range(grid):
-            x = fa + (fb - fa) * k / (grid - 1)
-            if _poly_eval([float(c) for c in coeffs], x) < -slack:
-                return GVerdict(GVerdict.VIOLATED, x)
+    def changes(x):
+        return sign_changes(_poly_eval(q, x) for q in chain)
 
-    # critical points of g via sign changes of g'
-    fcoeffs = [float(c) for c in coeffs]
-    dcoeffs = [k * fcoeffs[k] for k in range(1, len(fcoeffs))]
-    if dcoeffs:
-        fa, fb = float(a), float(b)
-        fine = 4 * grid
-
-        def dval(x):
-            return _poly_eval(dcoeffs, x)
-
-        prev_x, prev_v = fa, dval(fa)
-        for k in range(1, fine + 1):
-            x = fa + (fb - fa) * k / fine
-            v = dval(x)
-            if prev_v == 0.0 or (prev_v < 0) != (v < 0):
-                lo, hi = prev_x, x
-                for _ in range(80):
-                    midp = 0.5 * (lo + hi)
-                    if (dval(lo) < 0) != (dval(midp) < 0):
-                        hi = midp
-                    else:
-                        lo = midp
-                root = 0.5 * (lo + hi)
-                if _poly_eval(fcoeffs, root) < -slack:
-                    return GVerdict(GVerdict.VIOLATED, root)
-            prev_x, prev_v = x, v
+    for x in (a, b):
+        if _poly_eval(g, x) < 0:
+            return GVerdict(GVerdict.VIOLATED, collapse(x))
+    pieces = [(a, changes(a), b, changes(b))]
+    while pieces:
+        u, cu, v, cv = pieces.pop()
+        if cu - cv + (_poly_eval(g, u) == 0) <= 1:
+            continue
+        m = (u + v) / 2
+        while (gm := _poly_eval(g, m)) == 0:
+            m = (u + m) / 2
+        if gm < 0:
+            return GVerdict(GVerdict.VIOLATED, collapse(m))
+        cm = changes(m)
+        pieces += [(u, cu, m, cm), (m, cm, v, cv)]
     return GVerdict(GVerdict.CERTIFIED)
 
 
 def _vanishing_order(coeffs, point):
     """Multiplicity of an exact root at an exact point, by deflation."""
-    work = list(coeffs)
-    order = 0
-    while len(work) > 1:
-        # synthetic division by (x - point); acc ends as the remainder
-        n = len(work) - 1
-        quot = [None] * n
-        acc = work[n]
-        for k in range(n - 1, -1, -1):
-            quot[k] = acc
-            acc = work[k] + acc * point
-        if acc != 0:
-            break
-        work = quot
+    order, work = 0, _ptrim(coeffs)
+    while len(work) > 1 and _poly_eval(work, point) == 0:
+        work = _pdivmod(work, (-point, 1))[0]
         order += 1
     return order
 
@@ -483,12 +461,8 @@ def linear_combination_transform(y, g, a, b, density: Density = None):
     the same interval, with endpoint exponents raised by the vanishing
     order of g there.
     """
-    coeffs = tuple(ensure_fraction(c) for c in g)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    verdict = check_g_nonneg(coeffs, a, b)
-    if not verdict.ok:
-        raise GNegative(f"g takes a negative value near x = {verdict.violation_x}")
+    coeffs = _ptrim(ensure_fraction(c) for c in g) or (Fraction(0),)
+    _require_nonneg(coeffs, a, b)
     vals = y.values if isinstance(y, Sequence) else tuple(y)
     deg = len(coeffs) - 1
     if len(vals) <= deg:
@@ -499,10 +473,7 @@ def linear_combination_transform(y, g, a, b, density: Density = None):
     )
     base = getattr(y, "label", "") or "y"
     seq = Sequence(out, label=f"T_g({base})", origin="transform")
-    if density is None:
-        return seq, None
-    new_density = transformed_density_linear(density, coeffs)
-    return seq, new_density
+    return seq, None if density is None else transformed_density_linear(density, coeffs)
 
 
 def transformed_density_linear(dens: Density, coeffs) -> Density:
@@ -575,17 +546,23 @@ def pushforward_power(dens: Density, d: int) -> Density:
     )
 
 
+def _lincomb_interval(dens: Density, transform: TransformSpec):
+    """The transform's own interval, else the density's exact endpoints."""
+    return transform.interval or (dens.a_exact, dens.b_exact)
+
+
+def _require_nonneg(g, a, b):
+    verdict = check_g_nonneg(g, a, b)
+    if not verdict.ok:
+        raise GNegative(f"g takes a negative value at x = {verdict.violation_x}")
+
+
 def transformed_density(dens: Density, transform: TransformSpec) -> Density:
     """Density matching a TransformSpec applied to dens' moment sequence."""
     if transform.kind == TransformSpec.SUBSEQUENCE:
         out = translate_density(dens, transform.offset)
         return pushforward_power(out, transform.d)
-    a = transform.interval[0] if transform.interval else dens.a_exact
-    b = transform.interval[1] if transform.interval else dens.b_exact
-    verdict = check_g_nonneg(transform.g, a if a is not None else dens.a,
-                             b if b is not None else dens.b)
-    if not verdict.ok:
-        raise GNegative(f"g takes a negative value near x = {verdict.violation_x}")
+    _require_nonneg(transform.g, *_lincomb_interval(dens, transform))
     return transformed_density_linear(dens, transform.g)
 
 
@@ -594,14 +571,10 @@ def verify_transform_consistency(y, transform: TransformSpec, dens: Density,
     """Check the transformed sequence against the transformed density."""
     if transform.kind == TransformSpec.SUBSEQUENCE:
         seq = subsequence_transform(y, transform.d, transform.offset)
+        tdens = transformed_density(dens, transform)
     else:
-        a = transform.interval[0] if transform.interval else dens.a_exact
-        b = transform.interval[1] if transform.interval else dens.b_exact
-        seq, _ = linear_combination_transform(
-            y, transform.g,
-            a if a is not None else dens.a,
-            b if b is not None else dens.b)
-    tdens = transformed_density(dens, transform)
+        seq, tdens = linear_combination_transform(
+            y, transform.g, *_lincomb_interval(dens, transform), density=dens)
     if len(seq) < n_max + 1:
         raise InsufficientData(
             f"transformed sequence has {len(seq)} terms, need {n_max + 1}")

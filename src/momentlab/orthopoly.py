@@ -50,10 +50,22 @@ def _paxpy(alpha, a, b):
 
 
 def _ptrim(c):
+    """Coefficients without trailing zeros; () is the zero polynomial."""
     c = list(c)
-    while len(c) > 1 and c[-1] == 0:
+    while c and c[-1] == 0:
         c.pop()
     return tuple(c)
+
+
+def _pdivmod(num, den):
+    """Quotient and remainder of ascending coefficient lists; den is trimmed."""
+    rem = list(num)
+    quot = [0] * max(len(num) - len(den) + 1, 0)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = rem[k + len(den) - 1] / den[-1]
+        for j, d in enumerate(den):
+            rem[k + j] -= c * d
+    return quot, _ptrim(rem[:len(den) - 1])
 
 
 @dataclass(frozen=True)
@@ -64,7 +76,7 @@ class MonicPolynomial:
 
     def __post_init__(self):
         coeffs = _ptrim(tuple(ensure_fraction(c) for c in self.coefficients))
-        if coeffs[-1] != 1:
+        if coeffs[-1:] != (1,):
             raise ValueError("leading coefficient must be exactly 1")
         object.__setattr__(self, "coefficients", coeffs)
 

@@ -303,3 +303,12 @@ def reference_recurrence(y, n):
                 nxt[i] -= tau[-1] * c
         p_prev, p_cur = p_cur, nxt
     return tuple(sigma), tuple(tau)
+
+
+def reference_zeros_ok(spec, a, b, n):
+    """``zeros_ok`` as the float check it replaced: the extreme eigenvalues of
+    the order-n Jacobi matrix lie in [a, b] up to a slack of 1e-9."""
+    import momentlab as ml
+
+    lo, hi = ml.true_interval_estimate(spec, n)
+    return lo >= float(a) - 1e-9 and hi <= float(b) + 1e-9

@@ -1,12 +1,14 @@
 """Chain sequences, minimal parameters, and support certification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 import momentlab as ml
 from momentlab import Surd
-from conftest import CERTIFIABLE_INTERVALS, UNCERTIFIABLE, interval_endpoints
+from conftest import (CERTIFIABLE_INTERVALS, UNCERTIFIABLE, interval_endpoints,
+                      reference_zeros_ok)
 
 
 def test_alpha_catalan_at_zero():
@@ -225,3 +227,27 @@ def test_zeros_stay_inside_certified_interval_to_degree_60(name):
     zeros = ml.ops_zeros(spec, 60)
     assert zeros[0] >= float(lo) - 1e-9
     assert zeros[-1] <= float(hi) + 1e-9
+
+
+def test_zeros_ok_matches_float_eigenvalue_reference():
+    """The exact Sturm count agrees with the float eigenvalue check on the
+    catalog and on random quadruples, on both sides of the verdict."""
+    rng = random.Random(20)
+    quads = [ml.CATALOG[name] for name in ml.catalog_names()]
+    for _ in range(150):
+        t = Fraction(rng.choice((1, 2, 3, 4, 5, 7, 9, 10)), rng.choice((1, 2, 4)))
+        quads.append((Fraction(rng.randint(-4, 16), 2), Fraction(rng.randint(-2, 10), 2),
+                      Fraction(rng.randint(1, 12), 2), t))
+    seen = set()
+    for quad in quads:
+        spec = ml.make_spec(*quad)
+        order = rng.choice((1, 2, 7, 50))
+        try:
+            report = ml.certify_support(spec, n_check=4, zeros_order=order)
+        except (ml.HypothesisFailure, ml.PoleAt):
+            continue
+        cert = report.certificate
+        expected = reference_zeros_ok(spec, cert.lower, cert.upper, order)
+        assert report.zeros_ok == expected, (quad, order)
+        seen.add(expected)
+    assert seen == {True, False}

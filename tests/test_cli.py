@@ -1,13 +1,17 @@
 """CLI behaviour: flags, exit codes, and byte-identity with the library."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import momentlab as ml
 from momentlab.cli import main
@@ -189,6 +193,11 @@ def test_transform_lincomb_negative_exits_1(capsys):
                        "--lincomb", "1,-1", "--n", "8")
     assert code == 1
     assert "negative" in err
+    # (x - 1)(x - 1 - 10^-6) dips below 0 only on (1, 1 + 10^-6)
+    code, out, err = run(capsys, "transform", "--name", "catalan",
+                         "--lincomb=1000001/1000000,-2000001/1000000,1", "--n", "8")
+    assert (code, out) == (1, "")
+    assert "at x = 1048577/1048576" in err
 
 
 def test_transform_verify(capsys):
@@ -250,6 +259,8 @@ def test_missing_input_file_exits_2(capsys):
     (("verify", "--name", "catalan", "--n", "5"), None, "-1"),
     (("verify", "--name", "catalan", "--n", "5"), None, "nan"),
     (("classify", "--m", "1", "--input"), b"[true, false, 1, 2, 5]", None),
+    (("transform", "--name", "catalan", "--lincomb=1@-1"), None, None),
+    (("transform", "--name", "motzkin", "--sub", "d=2,l=0", "--verify"), None, None),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, sequence_file, precision):
     if sequence_file is not None:
@@ -284,3 +295,113 @@ def test_numpy_scipy_load_only_where_needed(tmp_path, argv, loads_scipy):
     code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
     assert code == "0"
     assert loaded == ("['numpy', 'scipy']" if loads_scipy else "[]")
+
+
+# -- fuzzing the exit-code contract ------------------------------------------
+
+_VALUE = st.sampled_from(("0", "1", "2", "3", "-1", "1/2", "7/3", "-5/2", "x"))
+_SMALL = st.integers(0, 12).map(str) | st.sampled_from(("-1", "x", ""))
+_NAME = st.sampled_from(ml.catalog_names() + ("bell",))
+_SEQUENCE_FILE = st.one_of(
+    st.lists(st.integers(-3, 60).map(str) | st.sampled_from(("1/2", "-3/4")),
+             max_size=14).map(json.dumps),
+    st.sampled_from((json.dumps([str(v) for v in ml.catalog_sequence("catalan", 13)[1]]),
+                     "[1, 2.5]", "[1, 2", "[]", "{}", "null", '["1/0"]', "[true, 1]",
+                     "[[1]]", '"12"', '{"values": ["1", "1", "2"]}')),
+).map(str.encode) | st.binary(max_size=12)
+_LINCOMB = st.builds(
+    lambda coeffs, shift: ",".join(coeffs) + shift,
+    st.lists(st.sampled_from(("0", "1", "-1", "4", "-6", "1/2", "-2/3")),
+             min_size=1, max_size=4),
+    st.sampled_from(("", "@0", "@1", "@3", "@-1", "@x")),
+) | st.sampled_from(("", ",", "1,,2", "a", "1/0"))
+_INTERVAL = st.sampled_from(("0,4", "-1,3", "1/2,3", "4,0", "1", "0,1/0", "x,y",
+                             "s-2sqrt(t),s+2sqrt(t)", "s-2*sqrt(t),2"))
+
+
+@st.composite
+def _cli_call(draw):
+    """(argv, sequence file bytes or None, MOMENTLAB_PRECISION or None)."""
+    argv, seq_file = [], None
+
+    def opt(flag, values, always=False):
+        if always or draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+
+    def spec_options():
+        if draw(st.booleans()):
+            opt("--name", _NAME, always=True)
+        else:
+            for flag in ("--p", "--s", "--q", "--t"):
+                opt(flag, _VALUE, always=draw(st.integers(0, 5)) > 0)
+
+    command = draw(st.sampled_from(("gen", "classify", "support", "verify", "transform", "ops")))
+    argv.append(command)
+    if command == "gen":
+        spec_options()
+        opt("--n", _SMALL, always=True)
+    elif command == "classify":
+        seq_file = draw(_SEQUENCE_FILE)
+        argv.append("--input=seq.json")
+        opt("--m", st.integers(0, 6).map(str) | st.just("-1"), always=True)
+        opt("--interval", _INTERVAL)
+        opt("--s", _VALUE)
+        opt("--t", _VALUE)
+    elif command == "support":
+        for flag in ("--p", "--s", "--q", "--t"):
+            opt(flag, _VALUE, always=draw(st.integers(0, 5)) > 0)
+        opt("--check", st.integers(0, 30).map(str) | st.just("-1"))
+    elif command == "verify":
+        opt("--name", st.sampled_from(ml.density_names() + ("fine", "bell")), always=True)
+        opt("--n", st.integers(0, 6).map(str) | st.just("-1"))
+        opt("--tol", st.sampled_from(("1e-7", "1e-3", "0", "nan", "-1", "abc")))
+    elif command == "transform":
+        if draw(st.booleans()):
+            opt("--name", st.sampled_from(ml.density_names() + ("fine", "bell")), always=True)
+        else:
+            seq_file = draw(_SEQUENCE_FILE)
+            argv.append("--input=seq.json")
+        opt("--n", st.integers(0, 20).map(str))
+        kind = draw(st.sampled_from(("sub", "lincomb", "both", "neither")))
+        if kind in ("sub", "both"):
+            opt("--sub", st.sampled_from(("d=2,l=0", "d=1,l=2", "d=3", "l=1", "d=0", "d=x", "k=1")),
+                always=True)
+        if kind in ("lincomb", "both"):
+            opt("--lincomb", _LINCOMB, always=True)
+        opt("--interval", _INTERVAL)
+        opt("--s", _VALUE)
+        opt("--t", _VALUE)
+        if draw(st.booleans()):
+            argv.append("--verify")
+        opt("--check-n", st.integers(0, 8).map(str))
+        opt("--tol", st.sampled_from(("1e-6", "1e-2", "0", "inf")))
+    else:
+        spec_options()
+        opt("--deg", st.integers(0, 12).map(str) | st.just("-1"), always=True)
+        if draw(st.booleans()):
+            argv.append("--zeros")
+    opt("--format", st.sampled_from(("json", "csv", "text", "xml")))
+    return argv, seq_file, draw(st.sampled_from((None, "1e-6", "abc", "-1")))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(call=_cli_call())
+def test_cli_fuzz_exit_codes(tmp_path_factory, call):
+    """Any argument list and sequence file exits 0, 1 or 2, never by an exception."""
+    argv, seq_file, precision = call
+    workdir = tmp_path_factory.getbasetemp() / "cli_fuzz"
+    workdir.mkdir(exist_ok=True)
+    argv = [a.replace("seq.json", str(workdir / "seq.json")) for a in argv]
+    if seq_file is not None:
+        (workdir / "seq.json").write_bytes(seq_file)
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        os.environ.pop("MOMENTLAB_PRECISION", None)
+        if precision is not None:
+            os.environ["MOMENTLAB_PRECISION"] = precision
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv

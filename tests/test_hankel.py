@@ -233,6 +233,9 @@ def test_hausdorff_needs_ordered_interval():
     _, cat = ml.catalog_sequence("catalan", 9)
     with pytest.raises(ValueError):
         ml.hausdorff_test(cat, Fraction(4), Fraction(0), 2)
+    # too short for any interval order, but the interval is still checked
+    with pytest.raises(ValueError):
+        ml.classify([1, 1], 0, interval=(Fraction(4), Fraction(0)))
 
 
 # -- classify ------------------------------------------------------------

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import momentlab as ml
+from conftest import poly_mul
 
 
 def test_density_catalog_metadata():
@@ -135,6 +137,74 @@ def test_check_g_nonneg():
     # -(x - a)^2 (x - b) with a = 0, b = 4: 4x^2 - x^3
     cubic = ml.check_g_nonneg((0, 0, 4, -1), Fraction(0), Fraction(4))
     assert cubic.ok
+    # (x - 1)(x - 1 - 10^-6) < 0 only on (1, 1 + 10^-6)
+    eps = Fraction(1, 10 ** 6)
+    close = ml.check_g_nonneg((1 + eps, -2 - eps, 1), Fraction(0), Fraction(4))
+    assert not close.ok and 1 < close.violation_x < 1 + eps
+    with pytest.raises(TypeError):
+        ml.check_g_nonneg((1.0,), Fraction(0), Fraction(4))
+    with pytest.raises(TypeError):
+        ml.check_g_nonneg((1,), 0.0, 4.0)
+    with pytest.raises(ValueError):
+        ml.check_g_nonneg((1,), Fraction(4), Fraction(0))
+
+
+#: rational intervals and the irrational delannoy support
+G_INTERVALS = [(Fraction(0), Fraction(4)), (Fraction(-1), Fraction(3)),
+               (Fraction(1, 3), Fraction(1, 2)), (ml.Surd(3, -2, 2), ml.Surd(3, 2, 2))]
+
+
+@st.composite
+def factored_g(draw):
+    """(a, b, c, roots, g): g = c * prod (x - r)^m, expanded.
+
+    Roots sit at rational endpoints, inside or outside the interval, or
+    within 10^-k of the previous root; irrational endpoints enter as the
+    rational factor (x - a)(x - b)."""
+    a, b = draw(st.sampled_from(G_INTERVALS))
+    rational = isinstance(a, Fraction)
+    roots = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("free", "endpoint", "close")))
+        if kind == "endpoint" and rational:
+            r = draw(st.sampled_from((a, b)))
+        elif kind == "close" and roots:
+            r = roots[-1][0] + Fraction(draw(st.sampled_from((1, -1))),
+                                        10 ** draw(st.integers(3, 9)))
+        else:
+            r = draw(st.fractions(min_value=-2, max_value=6, max_denominator=12))
+        roots.append((r, draw(st.integers(1, 3))))
+    c = draw(st.sampled_from((Fraction(1), Fraction(-2), Fraction(3, 7))))
+    factors = [[-r, 1] for r, m in roots for _ in range(m)]
+    if not rational:
+        m = draw(st.integers(0, 2))
+        roots += [(a, m), (b, m)]
+        factors += [[1, -6, 1]] * m  # (x - a)(x - b) on the delannoy interval
+    g = [c]
+    for f in factors:
+        g = poly_mul(g, f)
+    return a, b, c, roots, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(factored_g())
+def test_check_g_nonneg_matches_factorisation(case):
+    a, b, c, roots, g = case
+
+    def value(x):
+        out = c
+        for r, m in roots:
+            out *= (x - r) ** m
+        return out
+
+    # g keeps one sign between consecutive breakpoints
+    cuts = sorted({a, b} | {r for r, _ in roots if a < r < b})
+    expected = all(value((u + v) / 2) >= 0 for u, v in zip(cuts, cuts[1:]))
+    verdict = ml.check_g_nonneg(g, a, b)
+    assert verdict.ok == expected
+    if not verdict.ok:
+        x = verdict.violation_x
+        assert a <= x <= b and value(x) < 0
 
 
 def test_linear_combination_catalan():
@@ -148,6 +218,17 @@ def test_linear_combination_catalan():
     for n in range(4):
         got = ml.moment_quadrature(tdens, n, 1e-10)
         assert got == pytest.approx(float(seq[n]), rel=1e-9)
+
+
+def test_transformed_density_exponents_count_multiplicity():
+    from momentlab.measures import transformed_density_linear
+
+    # x^2 (4 - x) on [0, 4]; (x^2 - 6x + 1)^2 = (x - a)^2 (x - b)^2 on delannoy's
+    cases = [("catalan", (0, 0, 4, -1), (1.5, 1.5)),
+             ("delannoy", (1, -12, 38, -12, 1), (1.5, 1.5))]
+    for name, g, exponents in cases:
+        tdens = transformed_density_linear(ml.density_catalog(name), g)
+        assert (tdens.left_exponent, tdens.right_exponent) == exponents
 
 
 def test_linear_combination_identity():
