@@ -54,7 +54,7 @@ print("  sigma prefix:", [str(v) for v in sigma])
 print("  tau prefix  :", [str(v) for v in tau])
 
 print()
-print("Zeros come from the symmetric tridiagonal (Jacobi) eigenproblem:")
+print("Zeros are the correctly rounded doubles, bisected on exact Sturm counts:")
 print("  zeros of P_2:", ops_zeros(spec, 2), " (exact: (3 -/+ sqrt(5))/2)")
 for n in (5, 20, 60):
     lo, hi = true_interval_estimate(spec, n)

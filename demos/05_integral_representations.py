@@ -2,8 +2,8 @@
 
 Five families have closed-form representing densities.  Endpoint
 singularities are algebraic (exponents -1/2 or +1/2), so a cosine
-substitution makes the integrand smooth and adaptive quadrature
-reproduces the exact integer sequences to near machine precision.
+substitution makes the integrand smooth and periodic, and the midpoint
+rule reproduces the exact integer sequences to near machine precision.
 
 Run:  python3 demos/05_integral_representations.py
 """

@@ -50,7 +50,6 @@ from .hankel import (
     total_positive_up_to,
 )
 from .orthopoly import (
-    JacobiMatrix,
     MonicPolynomial,
     ops_determinantal,
     ops_from_recurrence,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisFailure, LengthMismatch, PoleAt, ZeroTau
-from .exact import collapse, ensure_fraction, format_rational, is_exact, sign_changes, sqrt_exact
+from .exact import collapse, ensure_fraction, format_rational, is_exact, sqrt_exact
 from .orthopoly import true_interval_estimate
 from .seqcore import SigmaTauSpec
 
@@ -326,6 +326,21 @@ class SupportReport:
         })
 
 
+def _zero_beyond(p, s, q, t, r, n) -> bool:
+    """Whether P_n for (p, s; q, t), q and t > 0, has a zero beyond s + 2r,
+    r = +sqrt(t) (above b) or -sqrt(t) (below a).
+
+    P_0 .. P_n is a Sturm sequence, so the zeros beyond the endpoint are the
+    sign changes of (r/|r|)^k P_k(s + 2r).  There x - s = 2r is a double root
+    of the characteristic polynomial of the constant tail, so for k >= 1
+    P_k = r^k (alpha + beta k), with alpha = q/t and beta = (s - p)/r + 2 - q/t
+    fitted to P_1 = 2r + s - p and P_2 = 2r P_1 - q.  The affine factor is
+    positive at k = 0 like P_0, so there is one sign change, and one zero,
+    exactly when it is negative at k = n.
+    """
+    return q / t + n * ((s - p) / r + 2 - q / t) < 0
+
+
 def certify_support(spec: SigmaTauSpec, n_check: int = 200,
                     zeros_order: int = 50) -> SupportReport:
     """Certify [s - 2 sqrt(t), s + 2 sqrt(t)] for a shorthand spec.
@@ -335,7 +350,8 @@ def certify_support(spec: SigmaTauSpec, n_check: int = 200,
     verifies s_n stays strictly between the endpoints, and decides exactly
     that the zeros of P_n, n = ``zeros_order``, lie in [a, b]: P_0 .. P_n
     is a Sturm sequence, so the sign changes of P_k(b) and (-1)^k P_k(a)
-    count the zeros above b and below a (``zeros_interval`` is for display).
+    count the zeros above b and below a; the constant tail gives both counts
+    in closed form (``zeros_interval`` is for display).
     """
     short = spec.shorthand
     if short is None:
@@ -361,15 +377,9 @@ def certify_support(spec: SigmaTauSpec, n_check: int = 200,
     left_chain, left_tail = chain_side(a)
     right_chain, right_tail = chain_side(b)
 
-    def ops_values(x):
-        # P_0(x) .. P_n(x) by the three-term recurrence
-        vals = [Fraction(1), x - spec.sigma(0)]
-        for k in range(1, zeros_order):
-            vals.append((x - spec.sigma(k)) * vals[-1] - spec.tau(k) * vals[-2])
-        return vals[:zeros_order + 1]
-
-    zeros_ok = (sign_changes(ops_values(b)) == 0 and sign_changes(
-        (-1) ** k * v for k, v in enumerate(ops_values(a))) == 0)
+    root = sqrt_exact(t)
+    zeros_ok = not (_zero_beyond(p, s, q, t, root, zeros_order)
+                    or _zero_beyond(p, s, q, t, -root, zeros_order))
     lo, hi = true_interval_estimate(spec, zeros_order)
 
     return SupportReport(

@@ -275,9 +275,7 @@ def _cmd_transform(args, parser) -> int:
                 interval = (dens.a_exact, dens.b_exact)
             else:
                 parser.error("--lincomb needs --interval when no catalog density exists")
-            tspec = measures.TransformSpec(measures.TransformSpec.LINEAR_COMBINATION,
-                                           g=g, interval=interval)
-            out, _ = measures.linear_combination_transform(
+            out, tdens = measures.linear_combination_transform(
                 seq, g, interval[0], interval[1], density=dens)
     except GNegative as exc:
         sys.stderr.write(f"{exc}\n")
@@ -291,8 +289,12 @@ def _cmd_transform(args, parser) -> int:
         n_top = args.check_n if args.check_n is not None else 8
         n_top = min(n_top, len(out) - 1)
         try:
-            report = measures.verify_transform_consistency(seq, tspec, dens,
-                                                           n_top, tol=args.tol)
+            if args.sub is not None:
+                report = measures.verify_transform_consistency(seq, tspec, dens,
+                                                               n_top, tol=args.tol)
+            else:  # the same report, without deciding g >= 0 again
+                report = measures.verify_representation(
+                    out, tdens, n_top, args.tol, label=f"{out.label} vs {tdens.label}")
         except ValueError as exc:  # e.g. x -> x^d on an interval below 0
             parser.error(str(exc))
         _emit(report.to_json() if args.format != "csv" else report.to_csv(),

@@ -9,15 +9,18 @@ Three equivalent descriptions are implemented and cross-checkable:
   determinants are nonzero),
 * the bordered-Hankel determinant formula for P_n.
 
-Polynomial coefficients and recovered coefficients stay exact rational;
-only zero finding leaves the rationals, through the symmetric
-tridiagonal (Jacobi) eigenvalue problem with off-diagonals sqrt(t_k).
+Polynomial coefficients and recovered coefficients stay exact rational.
+Zeros are binary64 values, each the correctly rounded image of the exact
+zero: bisection over doubles, deciding every probe by an exact Sturm
+count of the recurrence in integer arithmetic (Barth, Martin & Wilkinson,
+Numer. Math. 9, 1967).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +31,6 @@ from .seqcore import Sequence, SigmaTauSpec
 
 __all__ = [
     "MonicPolynomial",
-    "JacobiMatrix",
     "riesz",
     "ops_from_recurrence",
     "recurrence_from_moments",
@@ -197,48 +199,111 @@ def ops_determinantal(y, n: int) -> MonicPolynomial:
     return MonicPolynomial(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class JacobiMatrix:
-    """Symmetric tridiagonal form: diagonal s_k, off-diagonal sqrt(t_k)."""
-
-    diagonal: tuple
-    offdiagonal: tuple
-
-    @classmethod
-    def from_spec(cls, spec: SigmaTauSpec, n: int) -> "JacobiMatrix":
-        if n < 1:
-            raise ValueError("order must be >= 1")
-        if not spec.positive_case:
-            raise NotPositiveCase("zeros need every t_k > 0")
-        diag = tuple(float(spec.sigma(k)) for k in range(n))
-        off = tuple(math.sqrt(float(spec.tau(k))) for k in range(1, n))
-        return cls(diag, off)
-
-    def eigenvalues(self) -> np.ndarray:
-        import numpy as np
-        from scipy.linalg import eigh_tridiagonal
-
-        if len(self.diagonal) == 1:
-            return np.array(self.diagonal)
-        return eigh_tridiagonal(np.array(self.diagonal),
-                                np.array(self.offdiagonal),
-                                eigvals_only=True)
+_SIGN = 1 << 63
 
 
-def ops_zeros(spec: SigmaTauSpec, n: int) -> np.ndarray:
-    """The n real simple zeros of P_n, ascending.
+def _ordinal(x: float) -> int:
+    """Position of a double in the ordered set of doubles; 0.0 and -0.0 map to 0."""
+    bits, = struct.unpack("<Q", struct.pack("<d", x))
+    return bits if bits < _SIGN else _SIGN - bits
 
-    Computed as eigenvalues of the order-n Jacobi matrix, which is the
-    numerically stable route in the positive-definite case.
+
+def _double(o: int) -> float:
+    """Inverse of :func:`_ordinal`."""
+    return struct.unpack("<d", struct.pack("<Q", o if o >= 0 else _SIGN - o))[0]
+
+
+def _sturm_counter(spec: SigmaTauSpec, n: int):
+    """x -> (number of zeros of P_n above x, whether P_n(x) = 0), exactly.
+
+    With t_k > 0, the sign changes of P_0(x) .. P_n(x) (zeros dropped)
+    count the zeros of P_n above x.  For x = X/D the recurrence runs on
+    Q_k = (cD)^k P_k(x), where c clears the denominators of s_k and t_k:
+    Q_{k+1} = (cX - D c s_k) Q_k - D^2 c^2 t_k Q_{k-1}, all plain ints.
     """
-    return JacobiMatrix.from_spec(spec, n).eigenvalues()
+    sigma = [spec.sigma(k) for k in range(n)]
+    tau = [Fraction(0)] + [spec.tau(k) for k in range(1, n)]
+    c = math.lcm(*(v.denominator for v in sigma + tau))
+    cs = [int(c * v) for v in sigma]
+    cct = [int(c * c * v) for v in tau]
+
+    def count(x):
+        num, den = x.as_integer_ratio()
+        cx, dd = c * num, den * den
+        prev, cur, changes, positive = 0, 1, 0, True
+        for k in range(n):
+            prev, cur = cur, (cx - den * cs[k]) * cur - dd * cct[k] * prev
+            if cur and (cur > 0) != positive:
+                changes, positive = changes + 1, not positive
+        return changes, cur == 0
+
+    return count
+
+
+def _zeros(spec: SigmaTauSpec, n: int, wanted) -> list:
+    """Correctly rounded zeros of P_n with the given ascending indices.
+
+    Bisection over the ordered doubles, starting from a Gershgorin bracket
+    of the Jacobi matrix that exact counts confirm.  Once a zero's bracket
+    is two neighbouring doubles, the exact count at their midpoint decides
+    the rounding (ties to even), so an exact zero comes back exactly.
+    """
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    if not spec.positive_case:
+        raise NotPositiveCase("zeros need every t_k > 0")
+    count = _sturm_counter(spec, n)
+    radius = [0.0] + [math.sqrt(float(spec.tau(k))) for k in range(1, n)] + [0.0]
+    centre = [float(spec.sigma(k)) for k in range(n)]
+    lo = min(s - radius[k] - radius[k + 1] for k, s in enumerate(centre))
+    hi = max(s + radius[k] + radius[k + 1] for k, s in enumerate(centre))
+    step = 1.0 + (hi - lo)
+    while count(lo)[0] < n:
+        lo, step = lo - step, 2 * step
+    while count(hi)[0] > 0:
+        hi, step = hi + step, 2 * step
+
+    wanted = set(wanted)
+    zeros = {}
+    # (lo, hi] as ordinals: zeros above lo, zeros above hi, whether P_n(hi) = 0
+    stack = [(_ordinal(lo), _ordinal(hi), n, *count(hi))]
+    while stack:
+        lo_o, hi_o, above_lo, above_hi, at_hi = stack.pop()
+        first = n - above_lo  # ascending index of the lowest zero in (lo, hi]
+        if not any(first <= j < n - above_hi for j in wanted):
+            continue
+        if hi_o - lo_o > 1:
+            # an exact zero at hi is cut off with its lower neighbour at once;
+            # otherwise split at 0.0 if the interval holds it, else halfway
+            mid_o = hi_o - 1 if at_hi else 0 if lo_o < 0 < hi_o else (lo_o + hi_o) // 2
+            above_mid, at_mid = count(_double(mid_o))
+            stack += [(lo_o, mid_o, above_lo, above_mid, at_mid),
+                      (mid_o, hi_o, above_mid, above_hi, at_hi)]
+            continue
+        lo, hi = _double(lo_o), _double(hi_o)
+        above_mid, at_mid = count((Fraction(lo) + Fraction(hi)) / 2)
+        below = above_lo - above_mid - at_mid  # zeros in (lo, mid), nearer lo
+        tie = lo if lo_o % 2 == 0 else hi
+        for j in range(first, n - above_hi):
+            zeros[j] = lo if j < first + below else tie if j < first + below + at_mid else hi
+    return [zeros[j] for j in sorted(wanted)]
+
+
+def ops_zeros(spec: SigmaTauSpec, n: int) -> list:
+    """The n real simple zeros of P_n, ascending, each correctly rounded
+    to a double.
+
+    Raises NotPositiveCase unless every t_k > 0, and ValueError for n < 1.
+    """
+    return _zeros(spec, n, range(n))
 
 
 def true_interval_estimate(spec: SigmaTauSpec, n: int):
     """[smallest, largest] zero of P_n.
 
     An inner approximation of the true orthogonality interval that
-    widens monotonically with n; no extrapolation is attempted.
+    widens monotonically with n; no extrapolation is attempted.  Only
+    the two extreme zeros are bisected.
     """
-    zeros = ops_zeros(spec, n)
-    return float(zeros[0]), float(zeros[-1])
+    zeros = _zeros(spec, n, {0, n - 1})
+    return zeros[0], zeros[-1]

@@ -4,10 +4,11 @@ Everything here is deliberately independent of the library's production
 code paths: the recursive-matrix oracle is a plain memoized recursion
 (the library builds rows iteratively), determinant oracles use cofactor
 expansion (the library uses fraction-free elimination), and the closed
-forms come straight from classical formulas.  The two references at the
-end are the straightforward algorithms the library's Chebyshev recursion
-replaced: classification that decides every Hankel matrix by elimination
-order by order, and recovery that squares the orthogonal polynomials.
+forms come straight from classical formulas.  The references at the end
+are the straightforward algorithms the library replaced: classification
+that decides every Hankel matrix by elimination order by order, recovery
+that squares the orthogonal polynomials, zeros as eigenvalues of the
+Jacobi matrix, and moments by scipy's adaptive quadrature.
 """
 
 from fractions import Fraction
@@ -305,10 +306,75 @@ def reference_recurrence(y, n):
     return tuple(sigma), tuple(tau)
 
 
+def ops_values(spec, x, n):
+    """P_0(x) .. P_n(x) by the three-term recurrence, exact for exact x."""
+    vals = [Fraction(1), x - spec.sigma(0)]
+    for k in range(1, n):
+        vals.append((x - spec.sigma(k)) * vals[-1] - spec.tau(k) * vals[-2])
+    return vals[:n + 1]
+
+
+def count_sign_changes(values):
+    """Sign changes along exact values, zeros dropped."""
+    signs = [v > 0 for v in values if v != 0]
+    return sum(p != q for p, q in zip(signs, signs[1:]))
+
+
+def jacobi_norm(spec, n):
+    """Gershgorin bound on the norm of the order-n Jacobi matrix."""
+    r = [0.0] + [math.sqrt(float(spec.tau(k))) for k in range(1, n)] + [0.0]
+    return max(abs(float(spec.sigma(k))) + r[k] + r[k + 1] for k in range(n))
+
+
+def reference_ops_zeros(spec, n):
+    """``ops_zeros`` as the eigenvalues of the order-n Jacobi matrix (diagonal
+    s_k, off-diagonal sqrt(t_k)), by LAPACK through scipy."""
+    import numpy as np
+    from scipy.linalg import eigh_tridiagonal
+
+    diag = [float(spec.sigma(k)) for k in range(n)]
+    if n == 1:
+        return diag
+    off = [math.sqrt(float(spec.tau(k))) for k in range(1, n)]
+    return [float(z) for z in eigh_tridiagonal(np.array(diag), np.array(off),
+                                               eigvals_only=True)]
+
+
 def reference_zeros_ok(spec, a, b, n):
     """``zeros_ok`` as the float check it replaced: the extreme eigenvalues of
     the order-n Jacobi matrix lie in [a, b] up to a slack of 1e-9."""
-    import momentlab as ml
+    zeros = reference_ops_zeros(spec, n)
+    return zeros[0] >= float(a) - 1e-9 and zeros[-1] <= float(b) + 1e-9
 
-    lo, hi = ml.true_interval_estimate(spec, n)
-    return lo >= float(a) - 1e-9 and hi <= float(b) + 1e-9
+
+def reference_moment_quadrature(dens, n, tol=1e-10):
+    """``moment_quadrature`` by scipy's adaptive quadrature throughout: the
+    cosine map for exponents in {-1/2, 0, 1/2, 1, ...}, else one power map
+    per endpoint."""
+    from scipy.integrate import quad
+
+    ea, eb = dens.left_exponent, dens.right_exponent
+    a, b = dens.a, dens.b
+
+    def f(x):
+        return dens.weight(x) * x ** n
+
+    def halfish(e):
+        return abs(2 * e - round(2 * e)) < 1e-12 and e >= -0.5
+
+    if halfish(ea) and halfish(eb):
+        c, h = (a + b) / 2, (b - a) / 2
+        return quad(lambda th: f(c - h * math.cos(th)) * h * math.sin(th),
+                    0.0, math.pi, epsabs=tol, epsrel=1e-11, limit=200)[0]
+    mid = (a + b) / 2
+    total = 0.0
+    for end, e, sign in ((a, ea, 1), (b, eb, -1)):
+        if e < 0:
+            p = 1 / (1 + e)
+            top = abs(mid - end) ** (1 / p)
+            total += quad(lambda u: f(end + sign * u ** p) * p * u ** (p - 1),
+                          0.0, top, epsabs=tol / 2, epsrel=1e-11, limit=200)[0]
+        else:
+            lo, hi = (end, mid) if sign > 0 else (mid, end)
+            total += quad(f, lo, hi, epsabs=tol / 2, epsrel=1e-11, limit=200)[0]
+    return total

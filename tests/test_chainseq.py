@@ -7,8 +7,10 @@ import pytest
 
 import momentlab as ml
 from momentlab import Surd
-from conftest import (CERTIFIABLE_INTERVALS, UNCERTIFIABLE, interval_endpoints,
-                      reference_zeros_ok)
+from momentlab.chainseq import _zero_beyond
+from momentlab.exact import collapse
+from conftest import (CERTIFIABLE_INTERVALS, UNCERTIFIABLE, count_sign_changes,
+                      interval_endpoints, ops_values, reference_zeros_ok)
 
 
 def test_alpha_catalan_at_zero():
@@ -251,3 +253,28 @@ def test_zeros_ok_matches_float_eigenvalue_reference():
         assert report.zeros_ok == expected, (quad, order)
         seen.add(expected)
     assert seen == {True, False}
+
+
+def test_zero_beyond_matches_recurrence_count():
+    """The closed-form count of zeros beyond s -/+ 2 sqrt(t) is the sign count
+    of P_0 .. P_n from the recurrence in Q(sqrt t), on both verdicts."""
+    rng = random.Random(21)
+    quads = [ml.CATALOG[name] for name in ml.catalog_names()]
+    for _ in range(60):
+        t = Fraction(rng.choice((1, 2, 3, 4, 5, 7, 9, 10)), rng.choice((1, 2, 4)))
+        quads.append((Fraction(rng.randint(-4, 16), 2), Fraction(rng.randint(-2, 10), 2),
+                      Fraction(rng.randint(1, 12), 2), t))
+    seen = set()
+    for quad in quads:
+        p, s, q, t = (Fraction(v) for v in quad)
+        spec = ml.make_spec(p, s, q, t)
+        root = ml.sqrt_exact(t)
+        for r, sign in ((root, 1), (-root, -1)):
+            x = collapse(s + 2 * r)
+            for n in (0, 1, 2, 7, 50):
+                count = count_sign_changes(
+                    sign ** k * v for k, v in enumerate(ops_values(spec, x, n)))
+                assert count in (0, 1)
+                assert _zero_beyond(p, s, q, t, r, n) == (count == 1), (quad, n, sign)
+                seen.add(count)
+    assert seen == {0, 1}

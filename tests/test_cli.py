@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -272,6 +273,37 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, sequence_file, prec
     assert "error:" in proc.stderr.strip().splitlines()[-1]
 
 
+@pytest.mark.parametrize("lincomb", ["--lincomb=1@1000000", "--lincomb=-1@1000000"])
+def test_lincomb_longer_than_sequence_exits_2_at_once(tmp_path, lincomb):
+    # the length is checked before g >= 0, which would evaluate x^1000000 exactly
+    start = time.perf_counter()
+    proc = run_process(("-m", "momentlab.cli", "transform", "--name", "catalan",
+                        "--n", "5", lincomb), cwd=tmp_path)
+    assert time.perf_counter() - start < 20
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "shorter than the polynomial degree" in proc.stderr
+
+
+@pytest.mark.parametrize("name,lincomb,g,interval", [
+    ("catalan", "0,4,-1", (0, 4, -1), None),
+    ("delannoy", "1,1", (1, 1), None),
+    ("motzkin", "1,1", (1, 1), "-1,3"),
+])
+def test_transform_lincomb_verify_matches_library(capsys, name, lincomb, g, interval):
+    argv = ["transform", "--name", name, f"--lincomb={lincomb}", "--n", "14",
+            "--verify", "--check-n", "9"]
+    if interval is not None:
+        argv.append(f"--interval={interval}")
+    code, out, _ = run(capsys, *argv)
+    _, seq = ml.catalog_sequence(name, 14)
+    dens = ml.density_catalog(name)
+    bounds = (Fraction(-1), Fraction(3)) if interval else (dens.a_exact, dens.b_exact)
+    tspec = ml.TransformSpec(ml.TransformSpec.LINEAR_COMBINATION, g=g, interval=bounds)
+    report = ml.verify_transform_consistency(seq, tspec, dens, 9, tol=1e-6)
+    assert (code, out) == (0 if report.passed else 1, report.to_json() + "\n")
+
+
 _LOADED = """
 import sys
 from momentlab.cli import main
@@ -284,8 +316,12 @@ print(code, sorted({"numpy", "scipy"} & set(sys.modules)))
     ((), False),
     (("gen", "--name", "delannoy", "--n", "30"), False),
     (("classify", "--m", "4", "--input", "seq.json", "--interval", "0,4"), False),
-    (("verify", "--name", "motzkin", "--n", "8"), True),
-    (("ops", "--name", "catalan", "--deg", "5", "--zeros"), True),
+    (("verify", "--name", "motzkin", "--n", "8"), False),
+    (("ops", "--name", "catalan", "--deg", "5", "--zeros"), False),
+    (("support", "--p", "3", "--s", "3", "--q", "4", "--t", "2", "--check", "200"), False),
+    (("transform", "--name", "delannoy", "--lincomb=0,1", "--verify"), False),
+    # the x^2 pushforward has a -3/4 endpoint exponent: power map and scipy
+    (("transform", "--name", "catalan", "--sub", "d=2,l=0", "--verify"), True),
 ])
 def test_numpy_scipy_load_only_where_needed(tmp_path, argv, loads_scipy):
     _, cat = ml.catalog_sequence("catalan", 12)

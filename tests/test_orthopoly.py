@@ -1,12 +1,14 @@
 """Monic OPS construction, recovery, determinantal path, zeros."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentlab as ml
-from conftest import poly_mul, reference_recurrence
+from conftest import (count_sign_changes, jacobi_norm, ops_values, poly_mul,
+                      reference_ops_zeros, reference_recurrence)
 
 
 def test_p0_is_one():
@@ -121,6 +123,11 @@ def test_zeros_simple_cases():
     assert ml.ops_zeros(cat, 2) == pytest.approx(golden, abs=1e-12)
     mot = ml.make_spec(1, 1, 1, 1)
     assert ml.ops_zeros(mot, 2) == pytest.approx([0.0, 2.0], abs=1e-12)
+    # exact zeros come back exactly: 1 for catalan, 0 and 2 for motzkin,
+    # and 1 + 2 cos(k pi / 6) = 0, 1, 2 for motzkin at degree 5
+    assert ml.ops_zeros(cat, 1) == [1.0]
+    assert ml.ops_zeros(mot, 2) == [0.0, 2.0]
+    assert ml.ops_zeros(mot, 5)[1:4] == [0.0, 1.0, 2.0]
 
 
 def test_zeros_match_polynomial_roots():
@@ -145,6 +152,40 @@ def test_zero_interlacing():
             for i in range(n):
                 assert outer[i] < inner[i] + 1e-9
                 assert inner[i] < outer[i + 1] + 1e-9
+
+
+_RATIONAL = st.fractions(min_value=-8, max_value=8, max_denominator=3)
+_POSITIVE = st.fractions(min_value=Fraction(1, 4), max_value=12, max_denominator=4)
+_SPEC = st.one_of(
+    st.sampled_from(ml.catalog_names()).map(lambda name: ml.make_spec(*ml.CATALOG[name])),
+    st.builds(ml.make_spec, _RATIONAL, _RATIONAL, _POSITIVE, _POSITIVE),
+    st.builds(ml.spec_from_prefixes, st.lists(_RATIONAL, min_size=1, max_size=4), _RATIONAL,
+              st.lists(_POSITIVE, max_size=3), _POSITIVE),
+)
+
+
+@given(_SPEC, st.integers(min_value=1, max_value=16))
+@settings(max_examples=60, deadline=None)
+def test_zeros_correctly_rounded(spec, n):
+    """Each zero is the double nearest the exact one: exact Sturm counts put
+    the j-th smallest zero between the midpoints to the double's neighbours."""
+    zeros = ml.ops_zeros(spec, n)
+    assert len(zeros) == n and zeros == sorted(zeros)
+    assert ml.true_interval_estimate(spec, n) == (zeros[0], zeros[-1])
+
+    def above(x):  # zeros of P_n above x, and whether P_n(x) = 0
+        vals = ops_values(spec, x, n)
+        return count_sign_changes(vals), vals[-1] == 0
+
+    for j, z in enumerate(zeros):
+        lower = (Fraction(math.nextafter(z, -math.inf)) + Fraction(z)) / 2
+        upper = (Fraction(z) + Fraction(math.nextafter(z, math.inf))) / 2
+        assert above(upper)[0] <= n - 1 - j
+        assert sum(above(lower)) >= n - j
+    # LAPACK's zeros are accurate to a few ulp of the matrix norm, not of z
+    slack = 16 * math.ulp(1.0) * max(1.0, jacobi_norm(spec, n))
+    for z, ref in zip(zeros, reference_ops_zeros(spec, n)):
+        assert abs(z - ref) <= slack
 
 
 def test_true_interval_estimates():
