@@ -228,9 +228,9 @@ class SupportCertificate:
     def interval_floats(self):
         return float(self.lower), float(self.upper)
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         lo, hi = self.interval_floats()
-        return json.dumps({
+        return {
             "schema": "momentlab/support/v1",
             "p": format_rational(self.p), "s": format_rational(self.s),
             "q": format_rational(self.q), "t": format_rational(self.t),
@@ -246,7 +246,10 @@ class SupportCertificate:
             "initial_parameter_ok": self.initial_parameter_ok,
             "stieltjes": self.stieltjes_flag,
             "g0": None if self.g0 is None else str(self.g0),
-        })
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 def support_interval(p, s, q, t, strict: bool = True) -> SupportCertificate:
@@ -310,10 +313,10 @@ class SupportReport:
                 and self.right_chain.ok and self.right_tail.ok
                 and self.zeros_ok)
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "schema": "momentlab/support-report/v1",
-            "certificate": json.loads(self.certificate.to_json()),
+            "certificate": self.certificate.to_dict(),
             "n_check": self.n_check,
             "s_bounds_ok": self.s_bounds_ok,
             "left_chain": self.left_chain.to_dict(),
@@ -323,7 +326,10 @@ class SupportReport:
             "zeros_interval": list(self.zeros_interval),
             "zeros_ok": self.zeros_ok,
             "passed": self.passed,
-        })
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 def _zero_beyond(p, s, q, t, r, n) -> bool:
@@ -351,7 +357,8 @@ def certify_support(spec: SigmaTauSpec, n_check: int = 200,
     that the zeros of P_n, n = ``zeros_order``, lie in [a, b]: P_0 .. P_n
     is a Sturm sequence, so the sign changes of P_k(b) and (-1)^k P_k(a)
     count the zeros above b and below a; the constant tail gives both counts
-    in closed form (``zeros_interval`` is for display).
+    in closed form (``zeros_interval`` is for display).  When p = b, alpha_0
+    has a pole there, and that endpoint's chain is reported failed at 0.
     """
     short = spec.shorthand
     if short is None:
@@ -364,15 +371,15 @@ def certify_support(spec: SigmaTauSpec, n_check: int = 200,
     s_bounds_ok = all(bool(v > a) and bool(v < b) for v in (p, s))
 
     def chain_side(x):
-        alphas = alpha_sequence(spec, x, max(n_check, 2))
-        if alphas[1] != alphas[-1]:
-            raise ValueError("alpha tail is not constant; spec is not shorthand")
+        failed_tail = TailCertificate(False, Fraction(1, 4), None, None)
+        try:
+            alphas = alpha_sequence(spec, x, max(n_check, 2))
+        except PoleAt:  # p = x: alpha_0 is undefined, so the chain fails at 0
+            return ChainVerdict(-1, (Fraction(0),), 0), failed_tail
         verdict = minimal_parameters(alphas)
-        if verdict.ok and len(verdict.parameters) >= 2:
-            tail = constant_tail_certificate(verdict.parameters[1], alphas[1])
-        else:
-            tail = TailCertificate(False, Fraction(1, 4), None, None)
-        return verdict, tail
+        if verdict.ok:  # alphas has >= 3 terms, so parameters[1] exists
+            return verdict, constant_tail_certificate(verdict.parameters[1], alphas[1])
+        return verdict, failed_tail
 
     left_chain, left_tail = chain_side(a)
     right_chain, right_tail = chain_side(b)

@@ -14,10 +14,17 @@ serializations, so results are byte-identical to direct use:
     momentlab transform --name catalan --lincomb "4,-1@1" --verify
     momentlab ops --name catalan --deg 6 --zeros
 
-Exit status: 0 on success, 1 when a requested verification or
-classification fails (the report is still emitted), 2 on bad input: option
-errors, unreadable or malformed sequence files, an interval a,b without
-a < b, and a tolerance that is not a finite number above 0.
+Each subcommand builds one report; --format prints it as JSON, as CSV (the
+report's own table, else its JSON flattened to key,value rows) or as text
+(the report's own summary, else its JSON).
+
+Exit status: 0 on success; 1 when a check fails (a classification, support
+certification or verification, with the report still emitted; the support
+hypotheses, with the certificate emitted) or a --lincomb polynomial is
+negative on the interval; 2 on bad input: option errors, unreadable or
+malformed sequence files, an interval a,b without a < b, a tolerance that
+is not a finite number above 0, an n whose moments overflow a double, and
+any other library error.
 The environment variable MOMENTLAB_PRECISION overrides the default
 quadrature tolerance.
 """
@@ -29,13 +36,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chainseq, hankel, measures, orthopoly, seqcore
 from .errors import GNegative, HypothesisFailure, MomentLabError
 from .exact import collapse, ensure_fraction, format_rational, sqrt_exact
-
-_SCHEMA_OPS = "momentlab/ops/v1"
 
 
 def _default_tol(parser) -> float:
@@ -48,12 +54,13 @@ def _default_tol(parser) -> float:
         parser.error(f"MOMENTLAB_PRECISION: {exc}")
 
 
-def _emit(text: str, path):
+def _write(text: str, path):
+    text = text if text.endswith("\n") else text + "\n"
     if path in (None, "-"):
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _flat_csv(data, prefix="") -> str:
@@ -68,6 +75,17 @@ def _flat_csv(data, prefix="") -> str:
         else:
             lines.append(f"{dotted},{value}")
     return "\n".join(lines)
+
+
+def _emit(report, fmt: str, path):
+    """Write the report to path (stdout for None or '-') in the given format."""
+    if fmt == "csv":
+        text = report.to_csv() if hasattr(report, "to_csv") else _flat_csv(report.to_dict())
+    elif fmt == "text":
+        text = report.to_text() if hasattr(report, "to_text") else report.to_json()
+    else:
+        text = report.to_json()
+    _write(text, path)
 
 
 def _read_sequence(path, parser) -> seqcore.Sequence:
@@ -85,14 +103,11 @@ def _read_sequence(path, parser) -> seqcore.Sequence:
 def _parse_endpoint(token: str, s, t):
     """An interval endpoint: exact rational text or s-+2sqrt(t) tokens."""
     token = token.strip().lower()
-    if token in ("s-2sqrt(t)", "s-2*sqrt(t)"):
+    if token in ("s-2sqrt(t)", "s-2*sqrt(t)", "s+2sqrt(t)", "s+2*sqrt(t)"):
         if s is None or t is None:
             raise ValueError("the sqrt tokens need --s and --t")
-        return collapse(ensure_fraction(s) - 2 * sqrt_exact(t))
-    if token in ("s+2sqrt(t)", "s+2*sqrt(t)"):
-        if s is None or t is None:
-            raise ValueError("the sqrt tokens need --s and --t")
-        return collapse(ensure_fraction(s) + 2 * sqrt_exact(t))
+        s, root = ensure_fraction(s), 2 * sqrt_exact(t)
+        return collapse(s + root if token[1] == "+" else s - root)
     return ensure_fraction(token)
 
 
@@ -119,93 +134,78 @@ def _spec_from_args(args, parser) -> seqcore.SigmaTauSpec:
     return seqcore.make_spec(*quad)
 
 
-def _sequence_text(seq: seqcore.Sequence, fmt: str) -> str:
-    if fmt == "json":
-        return seq.to_json()
-    if fmt == "csv":
-        return seq.to_csv()
-    return f"{seq.label or 'sequence'}: " + ", ".join(
-        format_rational(v) for v in seq.values)
+@dataclass(frozen=True)
+class _OpsReport:
+    """P_0 .. P_deg and, when zeros were asked for, the zeros of P_deg and
+    their extreme interval (no zeros and no interval at degree 0)."""
+
+    spec: seqcore.SigmaTauSpec
+    polys: list
+    zeros: list = None
+    extreme: tuple = None
+
+    def to_dict(self) -> dict:
+        out = {"schema": "momentlab/ops/v1", "spec": self.spec.to_dict(),
+               "polynomials": [[format_rational(c) for c in poly.coefficients]
+                               for poly in self.polys]}
+        if self.zeros is not None:
+            out["zeros"] = self.zeros
+        if self.extreme is not None:
+            out["extreme_zero_interval"] = list(self.extreme)
+        return out
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
+
+    def to_csv(self) -> str:
+        lines = ["degree,coefficients"]
+        lines += [f"{k},\"{';'.join(c)}\""
+                  for k, c in enumerate(self.to_dict()["polynomials"])]
+        if self.zeros:
+            lines.append(f"zeros,\"{';'.join(str(z) for z in self.zeros)}\"")
+        return "\n".join(lines) + "\n"
+
+    def to_text(self) -> str:
+        lines = [f"P_{k} = {poly}" for k, poly in enumerate(self.polys)]
+        if self.zeros:
+            lines.append(f"zeros of P_{len(self.polys) - 1}: "
+                         + ", ".join(f"{z:.12g}" for z in self.zeros))
+        return "\n".join(lines) + "\n"
 
 
 # -- subcommands ---------------------------------------------------------
+# Each returns (report, exit code); main emits the report and maps errors.
 
 
-def _cmd_gen(args, parser) -> int:
+def _cmd_gen(args, parser):
     spec = _spec_from_args(args, parser)
     seq = seqcore.catalan_like(spec, args.n)
     if args.name:
         seq = seqcore.Sequence(seq.values, label=args.name, origin="catalog")
-    _emit(_sequence_text(seq, args.format), args.output)
-    return 0
+    return seq, 0
 
 
-def _cmd_classify(args, parser) -> int:
+def _cmd_classify(args, parser):
     seq = _read_sequence(args.input, parser)
-    interval = None
-    if args.interval is not None:
-        try:
-            interval = _parse_interval(args.interval, args.s, args.t)
-        except (ValueError, ZeroDivisionError) as exc:
-            parser.error(str(exc))
+    interval = None if args.interval is None else \
+        _parse_interval(args.interval, args.s, args.t)
     report = hankel.classify(seq, args.m, interval=interval)
-    if args.format == "csv":
-        lines = ["order,hamburger,shifted,hausdorff"]
-        for k in range(report.max_order + 1):
-            ham = report.hamburger_status[k] if k < len(report.hamburger_status) else ""
-            sh = report.shifted_status[k] if k < len(report.shifted_status) else ""
-            hs = report.hausdorff_status[k] if k < len(report.hausdorff_status) else ""
-            lines.append(f"{k},{ham},{sh},{hs}")
-        _emit("\n".join(lines), args.output)
-    elif args.format == "text":
-        lines = [
-            f"hamburger ok up to order {report.hamburger_ok_up_to} of {report.max_order}",
-            f"stieltjes ok up to order {report.stieltjes_ok_up_to}"
-            f" (checked to {report.stieltjes_checked_up_to})",
-        ]
-        if interval is not None:
-            lines.append(
-                f"hausdorff ok up to order {report.hausdorff_ok_up_to}"
-                f" (checked to {report.hausdorff_checked_up_to})")
-        for fam, order, verdict in report.failure_witnesses:
-            lines.append(f"FAIL {fam} at order {order}: {verdict.status}")
-        _emit("\n".join(lines), args.output)
-    else:
-        _emit(report.to_json(), args.output)
-    return 0 if report.passed else 1
+    return report, 0 if report.passed else 1
 
 
-def _cmd_support(args, parser) -> int:
+def _cmd_support(args, parser):
     quad = (args.p, args.s, args.q, args.t)
-    if any(v is None for v in quad):
-        parser.error("support needs --p --s --q --t")
-    def emit_payload(json_text):
-        if args.format == "csv":
-            _emit(_flat_csv(json.loads(json_text)), args.output)
-        else:
-            _emit(json_text, args.output)
-
     try:
-        if args.check is not None:
-            spec = seqcore.make_spec(*quad)
-            report = chainseq.certify_support(spec, n_check=args.check)
-            emit_payload(report.to_json())
-            return 0 if report.passed else 1
-        cert = chainseq.support_interval(*quad)
-        emit_payload(cert.to_json())
-        return 0
-    except HypothesisFailure as exc:
-        cert = chainseq.support_interval(*quad, strict=False)
-        emit_payload(cert.to_json())
+        if args.check is None:
+            return chainseq.support_interval(*quad), 0
+        report = chainseq.certify_support(seqcore.make_spec(*quad), n_check=args.check)
+        return report, 0 if report.passed else 1
+    except HypothesisFailure as exc:  # a verdict, not bad input
         sys.stderr.write(f"hypothesis failure: {', '.join(exc.failed)}\n")
-        return 1
-    except MomentLabError:
-        raise
-    except ValueError as exc:  # q or t <= 0
-        parser.error(str(exc))
+        return chainseq.support_interval(*quad, strict=False), 1
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args, parser):
     if args.name not in measures.density_names():
         parser.error(f"no catalog density for {args.name!r}; "
                      f"choose from {', '.join(measures.density_names())}")
@@ -213,16 +213,8 @@ def _cmd_verify(args, parser) -> int:
     _, seq = seqcore.catalog_sequence(args.name, args.n)
     report = measures.verify_representation(seq, dens, args.n, tol=args.tol)
     if args.plot_csv:
-        _emit(measures.density_plot_csv(dens), args.plot_csv)
-    if args.format == "csv":
-        _emit(report.to_csv(), args.output)
-    elif args.format == "text":
-        _emit(f"{report.label}: max relative error {report.max_rel_error:.3e} "
-              f"({'pass' if report.passed else 'FAIL'} at {report.tol:g})",
-              args.output)
-    else:
-        _emit(report.to_json(), args.output)
-    return 0 if report.passed else 1
+        _write(measures.density_plot_csv(dens), args.plot_csv)
+    return report, 0 if report.passed else 1
 
 
 def _parse_sub(text: str):
@@ -249,7 +241,7 @@ def _parse_lincomb(text: str):
     return tuple([Fraction(0)] * shift + coeffs)
 
 
-def _cmd_transform(args, parser) -> int:
+def _cmd_transform(args, parser):
     if (args.sub is None) == (args.lincomb is None):
         parser.error("choose exactly one of --sub or --lincomb")
     if args.name is not None:
@@ -261,87 +253,55 @@ def _cmd_transform(args, parser) -> int:
     dens = measures.density_catalog(args.name) \
         if args.name in measures.density_names() else None
 
-    try:
-        if args.sub is not None:
-            d, l = _parse_sub(args.sub)
-            tspec = measures.TransformSpec(measures.TransformSpec.SUBSEQUENCE,
-                                           d=d, offset=l)
-            out = measures.subsequence_transform(seq, d, l)
+    if args.sub is not None:
+        d, l = _parse_sub(args.sub)
+        out = measures.subsequence_transform(seq, d, l)
+    else:
+        g = _parse_lincomb(args.lincomb)
+        if args.interval is not None:
+            interval = _parse_interval(args.interval, args.s, args.t)
+        elif dens is not None:
+            interval = (dens.a_exact, dens.b_exact)
         else:
-            g = _parse_lincomb(args.lincomb)
-            if args.interval is not None:
-                interval = _parse_interval(args.interval, args.s, args.t)
-            elif dens is not None:
-                interval = (dens.a_exact, dens.b_exact)
-            else:
-                parser.error("--lincomb needs --interval when no catalog density exists")
-            out, tdens = measures.linear_combination_transform(
-                seq, g, interval[0], interval[1], density=dens)
-    except GNegative as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
-        parser.error(str(exc))
+            parser.error("--lincomb needs --interval when no catalog density exists")
+        out, tdens = measures.linear_combination_transform(seq, g, *interval, density=dens)
+    if not args.verify:
+        return out, 0
 
-    if args.verify:
-        if dens is None:
-            parser.error("--verify needs a catalog density input")
-        n_top = args.check_n if args.check_n is not None else 8
-        n_top = min(n_top, len(out) - 1)
-        try:
-            if args.sub is not None:
-                report = measures.verify_transform_consistency(seq, tspec, dens,
-                                                               n_top, tol=args.tol)
-            else:  # the same report, without deciding g >= 0 again
-                report = measures.verify_representation(
-                    out, tdens, n_top, args.tol, label=f"{out.label} vs {tdens.label}")
-        except ValueError as exc:  # e.g. x -> x^d on an interval below 0
-            parser.error(str(exc))
-        _emit(report.to_json() if args.format != "csv" else report.to_csv(),
-              args.output)
-        return 0 if report.passed else 1
-
-    _emit(_sequence_text(out, args.format), args.output)
-    return 0
+    if dens is None:
+        parser.error("--verify needs a catalog density input")
+    if args.sub is not None:  # built only here: x -> x^d may not apply to dens
+        tdens = measures.transformed_density(
+            dens, measures.TransformSpec(measures.TransformSpec.SUBSEQUENCE, d=d, offset=l))
+    n_top = min(8 if args.check_n is None else args.check_n, len(out) - 1)
+    report = measures.verify_representation(out, tdens, n_top, args.tol,
+                                            label=f"{out.label} vs {tdens.label}")
+    return report, 0 if report.passed else 1
 
 
-def _cmd_ops(args, parser) -> int:
+def _cmd_ops(args, parser):
     spec = _spec_from_args(args, parser)
     polys = orthopoly.ops_from_recurrence(spec, args.deg)
-    payload = {
-        "schema": _SCHEMA_OPS,
-        "spec": spec.to_dict(),
-        "polynomials": [
-            [format_rational(c) for c in poly.coefficients] for poly in polys
-        ],
-    }
-    if args.zeros:
-        zeros = orthopoly.ops_zeros(spec, args.deg) if args.deg >= 1 else []
-        payload["zeros"] = [float(z) for z in zeros]
-        if args.deg >= 1:
-            lo, hi = orthopoly.true_interval_estimate(spec, args.deg)
-            payload["extreme_zero_interval"] = [lo, hi]
-    if args.format == "text":
-        lines = [f"P_{k} = {poly}" for k, poly in enumerate(polys)]
-        if args.zeros and args.deg >= 1:
-            lines.append("zeros of P_%d: %s" % (
-                args.deg, ", ".join(f"{z:.12g}" for z in payload["zeros"])))
-        _emit("\n".join(lines), args.output)
-    elif args.format == "csv":
-        lines = ["degree,coefficients"]
-        for k, coeffs in enumerate(payload["polynomials"]):
-            lines.append(f"{k},\"{';'.join(coeffs)}\"")
-        if args.zeros and args.deg >= 1:
-            lines.append(f"zeros,\"{';'.join(str(z) for z in payload['zeros'])}\"")
-        _emit("\n".join(lines), args.output)
-    else:
-        _emit(json.dumps(payload), args.output)
-    return 0
+    if not args.zeros or args.deg == 0:
+        return _OpsReport(spec, polys, [] if args.zeros else None), 0
+    zeros = [float(z) for z in orthopoly.ops_zeros(spec, args.deg)]
+    return _OpsReport(spec, polys, zeros, orthopoly.true_interval_estimate(spec, args.deg)), 0
 
 
 def _add_common(sub):
     sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sub.add_argument("--output", default=None, help="path or '-' for stdout")
+
+
+def _add_quadruple(sub, required=False):
+    for flag in ("--p", "--s", "--q", "--t"):
+        sub.add_argument(flag, type=_rational, required=required)
+
+
+def _add_interval(sub, interval_help=None):
+    sub.add_argument("--interval", default=None, help=interval_help)
+    sub.add_argument("--s", type=_rational, default=None)
+    sub.add_argument("--t", type=_rational, default=None)
 
 
 def _count(text):
@@ -383,27 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subs.add_parser("gen", help="generate a Catalan-like sequence")
     gen.add_argument("--name", default=None)
-    gen.add_argument("--p", type=_rational)
-    gen.add_argument("--s", type=_rational)
-    gen.add_argument("--q", type=_rational)
-    gen.add_argument("--t", type=_rational)
+    _add_quadruple(gen)
     gen.add_argument("--n", type=_count, required=True, help="largest index")
     _add_common(gen)
 
     cla = subs.add_parser("classify", help="Hankel moment classification")
     cla.add_argument("--input", required=True, help="sequence JSON path or '-'")
     cla.add_argument("--m", type=_count, required=True)
-    cla.add_argument("--interval", default=None,
-                     help="a,b with exact rationals or s-2sqrt(t),s+2sqrt(t)")
-    cla.add_argument("--s", type=_rational, default=None)
-    cla.add_argument("--t", type=_rational, default=None)
+    _add_interval(cla, "a,b with exact rationals or s-2sqrt(t),s+2sqrt(t)")
     _add_common(cla)
 
     sup = subs.add_parser("support", help="support interval certificate")
-    sup.add_argument("--p", type=_rational, required=True)
-    sup.add_argument("--s", type=_rational, required=True)
-    sup.add_argument("--q", type=_rational, required=True)
-    sup.add_argument("--t", type=_rational, required=True)
+    _add_quadruple(sup, required=True)
     sup.add_argument("--check", type=_count, default=None,
                      help="also run the chain-sequence certification to this depth")
     _add_common(sup)
@@ -422,9 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     tra.add_argument("--n", type=_count, default=40, help="input prefix length - 1")
     tra.add_argument("--sub", default=None, help="d=2,l=0")
     tra.add_argument("--lincomb", default=None, help="'4,-1@1' for 4x - x^2")
-    tra.add_argument("--interval", default=None)
-    tra.add_argument("--s", type=_rational, default=None)
-    tra.add_argument("--t", type=_rational, default=None)
+    _add_interval(tra)
     tra.add_argument("--verify", action="store_true",
                      help="compare against the transformed density")
     tra.add_argument("--check-n", type=_count, default=None)
@@ -433,10 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ops = subs.add_parser("ops", help="monic orthogonal polynomials")
     ops.add_argument("--name", default=None)
-    ops.add_argument("--p", type=_rational)
-    ops.add_argument("--s", type=_rational)
-    ops.add_argument("--q", type=_rational)
-    ops.add_argument("--t", type=_rational)
+    _add_quadruple(ops)
     ops.add_argument("--deg", type=_count, required=True)
     ops.add_argument("--zeros", action="store_true")
     _add_common(ops)
@@ -461,13 +407,20 @@ def main(argv=None) -> int:
         args.tol = _default_tol(parser) if args.command == "verify" \
             else max(_default_tol(parser), 1e-6)
     try:
-        return _HANDLERS[args.command](args, parser)
+        report, code = _HANDLERS[args.command](args, parser)
+        _emit(report, args.format, args.output)
+        return code
+    except GNegative as exc:  # a verdict on g, not bad input
+        sys.stderr.write(f"{exc}\n")
+        return 1
     except OSError as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
     except MomentLabError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 2
+    except (ValueError, ZeroDivisionError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

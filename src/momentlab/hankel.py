@@ -550,6 +550,27 @@ class MomentClassReport:
             out["determinate"] = self.determinate
         return json.dumps(out)
 
+    def to_csv(self) -> str:
+        """One row per order; a family's cell is empty past its last check."""
+        columns = (self.hamburger_status, self.shifted_status, self.hausdorff_status)
+        rows = [",".join([str(k)] + [c[k] if k < len(c) else "" for c in columns])
+                for k in range(self.max_order + 1)]
+        return "\n".join(["order,hamburger,shifted,hausdorff"] + rows) + "\n"
+
+    def to_text(self) -> str:
+        """The orders each criterion survived, then one line per failure."""
+        lines = [
+            f"hamburger ok up to order {self.hamburger_ok_up_to} of {self.max_order}",
+            f"stieltjes ok up to order {self.stieltjes_ok_up_to}"
+            f" (checked to {self.stieltjes_checked_up_to})",
+        ]
+        if self.hausdorff_interval is not None:
+            lines.append(f"hausdorff ok up to order {self.hausdorff_ok_up_to}"
+                         f" (checked to {self.hausdorff_checked_up_to})")
+        lines += [f"FAIL {fam} at order {order}: {verdict.status}"
+                  for fam, order, verdict in self.failure_witnesses]
+        return "\n".join(lines) + "\n"
+
     @property
     def passed(self) -> bool:
         """True when no check that could be run recorded a failure."""

@@ -276,6 +276,11 @@ class RepresentationReport:
         lines += [f"{n},{t!r},{c!r},{ae!r},{re!r}" for n, t, c, ae, re in self.rows]
         return "\n".join(lines) + "\n"
 
+    def to_text(self) -> str:
+        """One line: the largest relative error and the verdict at tol."""
+        return (f"{self.label}: max relative error {self.max_rel_error:.3e} "
+                f"({'pass' if self.passed else 'FAIL'} at {self.tol:g})\n")
+
 
 def verify_representation(y, dens: Density, n_max: int, tol: float = 1e-7,
                           label: str = None) -> RepresentationReport:
@@ -283,16 +288,23 @@ def verify_representation(y, dens: Density, n_max: int, tol: float = 1e-7,
 
     Pass/fail is decided on the maximum relative error (absolute error
     for targets below 1 in magnitude).  ``tol`` must be a finite number
-    above 0.
+    above 0.  An n_max whose target y_n or max(|a|, |b|)^n is not a finite
+    double raises ValueError before any quadrature runs.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a finite number above 0, got {tol!r}")
     vals = y.values if isinstance(y, Sequence) else tuple(y)
     if len(vals) < n_max + 1:
         raise InsufficientData(f"need {n_max + 1} values, have {len(vals)}")
+    # float() of a Fraction and float ** int raise OverflowError, never give inf
+    try:
+        targets = [float(v) for v in vals[:n_max + 1]]
+        max(abs(dens.a), abs(dens.b)) ** n_max
+    except OverflowError:
+        raise ValueError(f"n = {n_max} is too large: y_n or max(|a|, |b|)^n "
+                         f"is not a finite double") from None
     rows = []
-    for n in range(n_max + 1):
-        target = float(vals[n])
+    for n, target in enumerate(targets):
         qtol = tol * max(1.0, abs(target)) / 20.0
         computed = moment_quadrature(dens, n, tol=max(qtol, 1e-13))
         abs_err = abs(computed - target)

@@ -213,6 +213,11 @@ class Sequence:
         """One value per line; exact integers plain, otherwise num/den."""
         return "\n".join(format_rational(v) for v in self.values) + "\n"
 
+    def to_text(self) -> str:
+        """``label: y_0, y_1, ...`` on one line."""
+        return f"{self.label or 'sequence'}: " + ", ".join(
+            format_rational(v) for v in self.values) + "\n"
+
 
 def _rows(spec: SigmaTauSpec, n_max: int):
     """Yield rows r[0] .. r[n_max] of the recursive matrix, one at a time.

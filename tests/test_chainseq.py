@@ -7,7 +7,7 @@ import pytest
 
 import momentlab as ml
 from momentlab import Surd
-from momentlab.chainseq import _zero_beyond
+from momentlab.chainseq import TailCertificate, _zero_beyond
 from momentlab.exact import collapse
 from conftest import (CERTIFIABLE_INTERVALS, UNCERTIFIABLE, count_sign_changes,
                       interval_endpoints, ops_values, reference_zeros_ok)
@@ -201,6 +201,18 @@ def test_schroder_little_chain_escapes():
     head = report.left_chain.parameters[1]
     assert head == Surd(Fraction(1, 2), Fraction(1, 4), 2)
     assert report.right_chain.ok and report.right_tail.ok
+
+
+@pytest.mark.parametrize("quad", [(4, 2, 1, 1), (5, 1, 2, 4)])
+def test_certify_support_p_at_upper_endpoint(quad):
+    # p = s + 2 sqrt(t): the hypotheses hold, but alpha_0 has a pole at b,
+    # so the right chain fails at index 0 and s_0 = p is not inside (a, b)
+    report = ml.certify_support(ml.make_spec(*quad), n_check=10)
+    assert report.certificate.hypotheses_ok and not report.s_bounds_ok
+    assert report.right_chain == ml.ChainVerdict(-1, (0,), 0)
+    assert report.right_tail == TailCertificate(False, Fraction(1, 4), None, None)
+    assert report.left_chain.ok and report.left_tail.ok
+    assert not report.passed
 
 
 def test_certify_support_needs_shorthand():

@@ -143,6 +143,16 @@ def test_support_hypothesis_failure_exits_1(capsys):
     assert "hypothesis failure" in err
 
 
+def test_support_check_with_p_at_upper_endpoint_exits_1(capsys):
+    # p = s + 2 sqrt(t) is valid input: the report shows the failed right chain
+    code, out, err = run(capsys, "support", "--p", "4", "--s", "2",
+                         "--q", "1", "--t", "1", "--check", "10")
+    data = json.loads(out)
+    assert (code, err) == (1, "")
+    assert data["passed"] is False and data["s_bounds_ok"] is False
+    assert data["right_chain"]["failure_index"] == 0
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "--name", "motzkin", "--n", "10",
                        "--tol", "1e-7")
@@ -262,6 +272,11 @@ def test_missing_input_file_exits_2(capsys):
     (("classify", "--m", "1", "--input"), b"[true, false, 1, 2, 5]", None),
     (("transform", "--name", "catalan", "--lincomb=1@-1"), None, None),
     (("transform", "--name", "motzkin", "--sub", "d=2,l=0", "--verify"), None, None),
+    # moments or x^n beyond the largest double
+    (("verify", "--name", "catalan", "--n", "600"), None, None),
+    (("verify", "--name", "motzkin", "--n", "700"), None, None),
+    (("transform", "--name", "catalan", "--n", "600", "--lincomb=1", "--verify",
+      "--check-n", "600"), None, None),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, sequence_file, precision):
     if sequence_file is not None:
@@ -302,6 +317,51 @@ def test_transform_lincomb_verify_matches_library(capsys, name, lincomb, g, inte
     tspec = ml.TransformSpec(ml.TransformSpec.LINEAR_COMBINATION, g=g, interval=bounds)
     report = ml.verify_transform_consistency(seq, tspec, dens, 9, tol=1e-6)
     assert (code, out) == (0 if report.passed else 1, report.to_json() + "\n")
+
+
+_GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())["cases"]
+
+
+@pytest.mark.parametrize("case", _GOLDEN, ids=[" ".join(c["argv"]) for c in _GOLDEN])
+def test_cli_matches_golden(tmp_path, capsys, monkeypatch, case):
+    """gen, classify, support, transform without --verify and ops in every
+    format; floats there do not depend on libm."""
+    monkeypatch.delenv("MOMENTLAB_PRECISION", raising=False)
+    argv = case["argv"]
+    if case["input"] is not None:
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(case["input"]))
+        argv = [str(path) if a == "SEQ" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("argv,name,n,tspec,n_top,tol", [
+    (("verify", "--name", "delannoy", "--n", "8", "--tol", "1e-9"),
+     "delannoy", 8, None, 8, 1e-9),
+    (("transform", "--name", "catalan", "--sub", "d=1,l=1", "--n", "12", "--verify",
+      "--check-n", "6"), "catalan", 12, ml.TransformSpec("subsequence", d=1, offset=1), 6, 1e-6),
+    (("transform", "--name", "motzkin", "--lincomb=1,1", "--n", "14", "--verify"), "motzkin",
+     14, ml.TransformSpec("linear_combination", g=(1, 1), interval=(-1, 3)), 8, 1e-6),
+])
+def test_verify_output_matches_library(capsys, monkeypatch, argv, name, n, tspec, n_top,
+                                       tol, fmt):
+    # quadrature floats depend on libm, so these are pinned to the library
+    monkeypatch.delenv("MOMENTLAB_PRECISION", raising=False)
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    _, seq = ml.catalog_sequence(name, n)
+    dens = ml.density_catalog(name)
+    report = ml.verify_representation(seq, dens, n_top, tol=tol) if tspec is None \
+        else ml.verify_transform_consistency(seq, tspec, dens, n_top, tol=tol)
+    expected = {"json": report.to_json() + "\n", "csv": report.to_csv(),
+                "text": report.to_text()}[fmt]
+    assert (code, out) == (0 if report.passed else 1, expected)
+    if fmt == "text":
+        assert out.count("\n") == 1 and "max relative error" in out
 
 
 _LOADED = """

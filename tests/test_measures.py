@@ -111,6 +111,17 @@ def test_verify_representation_mismatch():
             ml.verify_representation(cat, dens, 4, bad)
 
 
+def test_verify_representation_rejects_n_beyond_doubles():
+    # float(y_n) or max(|a|, |b|)^n would raise OverflowError in quadrature
+    dens = ml.density_catalog("catalan")  # on [0, 4]
+    cases = [(ml.catalog_sequence("catalan", 600)[1], 600),  # both overflow
+             ([1] * 601, 600),  # only 4^600 does
+             ([1, 10 ** 400], 1)]  # only y_1 does
+    for y, n in cases:
+        with pytest.raises(ValueError, match=f"n = {n} "):
+            ml.verify_representation(y, dens, n)
+
+
 def test_subsequence_transform_interleaved():
     _, cat = ml.catalog_sequence("catalan", 7)
     aerated = []
