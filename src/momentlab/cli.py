@@ -39,7 +39,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import chainseq, hankel, measures, orthopoly, seqcore
+from . import seqcore
 from .errors import GNegative, HypothesisFailure, MomentLabError
 from .exact import collapse, ensure_fraction, format_rational, sqrt_exact
 
@@ -174,7 +174,8 @@ class _OpsReport:
 
 
 # -- subcommands ---------------------------------------------------------
-# Each returns (report, exit code); main emits the report and maps errors.
+# Each imports only the layers it uses and returns (report, exit code); main
+# emits the report and maps errors.
 
 
 def _cmd_gen(args, parser):
@@ -186,6 +187,7 @@ def _cmd_gen(args, parser):
 
 
 def _cmd_classify(args, parser):
+    from . import hankel
     seq = _read_sequence(args.input, parser)
     interval = None if args.interval is None else \
         _parse_interval(args.interval, args.s, args.t)
@@ -194,6 +196,7 @@ def _cmd_classify(args, parser):
 
 
 def _cmd_support(args, parser):
+    from . import chainseq
     quad = (args.p, args.s, args.q, args.t)
     try:
         if args.check is None:
@@ -206,6 +209,7 @@ def _cmd_support(args, parser):
 
 
 def _cmd_verify(args, parser):
+    from . import measures
     if args.name not in measures.density_names():
         parser.error(f"no catalog density for {args.name!r}; "
                      f"choose from {', '.join(measures.density_names())}")
@@ -242,6 +246,7 @@ def _parse_lincomb(text: str):
 
 
 def _cmd_transform(args, parser):
+    from . import measures
     if (args.sub is None) == (args.lincomb is None):
         parser.error("choose exactly one of --sub or --lincomb")
     if args.name is not None:
@@ -280,6 +285,7 @@ def _cmd_transform(args, parser):
 
 
 def _cmd_ops(args, parser):
+    from . import orthopoly
     spec = _spec_from_args(args, parser)
     polys = orthopoly.ops_from_recurrence(spec, args.deg)
     if not args.zeros or args.deg == 0:

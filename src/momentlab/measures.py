@@ -35,12 +35,15 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import GNegative, InsufficientData, NonIntegrable, TooShort, UnknownName
 from .exact import Surd, collapse, ensure_fraction, is_exact, sign_changes
-from .hankel import SymMatrix
 from .orthopoly import _pdivmod, _ptrim
 from .seqcore import Sequence
+
+if TYPE_CHECKING:  # imported at run time only where a witness is built
+    from .hankel import SymMatrix
 
 __all__ = [
     "Density",
@@ -392,6 +395,7 @@ def pattern_is_stieltjes_preserving(indices) -> PatternVerdict:
     For a non-affine pattern the witness atom is epsilon = 1/2 when the
     gap grows at the first defect and epsilon = 2 when it shrinks.
     """
+    from .hankel import SymMatrix
     idx = list(indices)
     if len(idx) < 3:
         raise TooShort("need at least three indices")

@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from .errors import InsufficientData, NotPositiveCase, QuasiDefiniteFailure
 from .exact import ensure_fraction, format_rational
-from .hankel import _chebyshev, _values, bareiss_det
 from .seqcore import Sequence, SigmaTauSpec
 
 __all__ = [
@@ -159,6 +158,7 @@ def recurrence_from_moments(y, n: int):
     L[P_k^2] = 0, which happens exactly when the order-k Hankel
     determinant vanishes.
     """
+    from .hankel import _chebyshev, _values
     vals = _values(y)
     if n < 1:
         raise ValueError("need n >= 1")
@@ -178,6 +178,7 @@ def ops_determinantal(y, n: int) -> MonicPolynomial:
     Expanding the determinant along its final row (1, x, ..., x^n) gives
     the coefficient of x^j as a signed maximal minor of the first n rows.
     """
+    from .hankel import bareiss_det
     vals = y.values if isinstance(y, Sequence) else tuple(y)
     if n < 0:
         raise ValueError("degree must be >= 0")

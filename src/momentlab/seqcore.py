@@ -201,13 +201,19 @@ class Sequence:
     @classmethod
     def from_json(cls, text: str) -> "Sequence":
         """Read either the full object form or a bare JSON array of
-        integers / 'num/den' strings."""
+        integers / 'num/den' strings.  The object's ``values`` must be an
+        array and its ``label`` and ``origin`` strings (else TypeError)."""
         data = json.loads(text)
         if isinstance(data, list):
             return cls(tuple(ensure_fraction(v) for v in data))
-        return cls(tuple(ensure_fraction(v) for v in data["values"]),
-                   label=data.get("label", ""),
-                   origin=data.get("origin", "external"))
+        values = data["values"]
+        label, origin = data.get("label", ""), data.get("origin", "external")
+        if not isinstance(values, list):
+            raise TypeError(f"'values' must be a JSON array, got {values!r}")
+        for key, value in (("label", label), ("origin", origin)):
+            if not isinstance(value, str):
+                raise TypeError(f"{key!r} must be a string, got {value!r}")
+        return cls(tuple(ensure_fraction(v) for v in values), label=label, origin=origin)
 
     def to_csv(self) -> str:
         """One value per line; exact integers plain, otherwise num/den."""

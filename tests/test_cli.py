@@ -270,6 +270,9 @@ def test_missing_input_file_exits_2(capsys):
     (("verify", "--name", "catalan", "--n", "5"), None, "-1"),
     (("verify", "--name", "catalan", "--n", "5"), None, "nan"),
     (("classify", "--m", "1", "--input"), b"[true, false, 1, 2, 5]", None),
+    (("classify", "--m", "1", "--input"), b'{"values": "1125"}', None),
+    (("transform", "--sub", "d=1", "--format", "text", "--input"),
+     b'{"values": [1, 1, 2, 5], "label": ["x"]}', None),
     (("transform", "--name", "catalan", "--lincomb=1@-1"), None, None),
     (("transform", "--name", "motzkin", "--sub", "d=2,l=0", "--verify"), None, None),
     # moments or x^n beyond the largest double
@@ -367,7 +370,10 @@ def test_verify_output_matches_library(capsys, monkeypatch, argv, name, n, tspec
 _LOADED = """
 import sys
 from momentlab.cli import main
-code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+try:
+    code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+except SystemExit as exc:  # argparse rejects bad input at parse time
+    code = exc.code
 print(code, sorted({"numpy", "scipy"} & set(sys.modules)))
 """
 
@@ -391,6 +397,46 @@ def test_numpy_scipy_load_only_where_needed(tmp_path, argv, loads_scipy):
     code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
     assert code == "0"
     assert loaded == ("['numpy', 'scipy']" if loads_scipy else "[]")
+
+
+_MOMENTLAB_LOADED = _LOADED + """
+print(sorted(name for name in sys.modules if name.startswith("momentlab")))
+"""
+_CLI_BASE = ("momentlab", "momentlab.cli", "momentlab.errors", "momentlab.exact",
+             "momentlab.seqcore")
+
+
+@pytest.mark.parametrize("argv,code,layers", [
+    ((), 0, ()),
+    (("gen", "--name", "delannoy", "--n", "30"), 0, ()),
+    (("gen", "--name", "catalan", "--n", "-1"), 2, ()),
+    (("classify", "--m", "4", "--input", "seq.json", "--interval", "0,4"), 0, ("hankel",)),
+    (("ops", "--name", "catalan", "--deg", "5", "--zeros"), 0, ("orthopoly",)),
+    (("support", "--p", "3", "--s", "3", "--q", "4", "--t", "2"), 0,
+     ("chainseq", "orthopoly")),
+    (("support", "--p", "3", "--s", "3", "--q", "4", "--t", "2", "--check", "200"), 0,
+     ("chainseq", "orthopoly")),
+    (("verify", "--name", "motzkin", "--n", "8"), 0, ("measures", "orthopoly")),
+    (("transform", "--name", "delannoy", "--lincomb=0,1", "--verify"), 0,
+     ("measures", "orthopoly")),
+    (("transform", "--name", "catalan", "--sub", "d=2,l=0"), 0, ("measures", "orthopoly")),
+])
+def test_each_subcommand_loads_only_its_layers(tmp_path, argv, code, layers):
+    _, cat = ml.catalog_sequence("catalan", 12)
+    (tmp_path / "seq.json").write_text(cat.to_json())
+    proc = run_process(("-c", _MOMENTLAB_LOADED, *argv), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    *_, status, loaded = proc.stdout.splitlines()
+    assert status.split(" ", 1)[0] == str(code)
+    assert loaded == str(sorted(_CLI_BASE + tuple(f"momentlab.{m}" for m in layers)))
+
+
+def test_import_momentlab_loads_no_submodule(tmp_path):
+    probe = ("import sys, momentlab; "
+             "print(sorted(name for name in sys.modules if name.startswith('momentlab')))")
+    proc = run_process(("-c", probe), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['momentlab']"
 
 
 # -- fuzzing the exit-code contract ------------------------------------------

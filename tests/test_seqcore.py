@@ -171,6 +171,18 @@ def test_sequence_from_bare_json_array():
     assert seq.values == (Fraction(1), Fraction(3, 2), Fraction(-2))
 
 
+@pytest.mark.parametrize("text", [
+    '{"values": "1125"}',  # a string is not read one digit at a time
+    '{"values": {"0": 1}}',
+    '{"values": [1, 1], "label": ["x"]}',
+    '{"values": [1, 1], "label": null}',
+    '{"values": [1, 1], "origin": ["catalog"]}',
+])
+def test_sequence_from_json_rejects_non_array_values_and_non_string_metadata(text):
+    with pytest.raises(TypeError):
+        ml.Sequence.from_json(text)
+
+
 def test_sequence_csv():
     seq = ml.Sequence((Fraction(2), Fraction(1, 2)))
     assert seq.to_csv() == "2\n1/2\n"
