@@ -270,9 +270,6 @@ def test_missing_input_file_exits_2(capsys):
     (("verify", "--name", "catalan", "--n", "5"), None, "-1"),
     (("verify", "--name", "catalan", "--n", "5"), None, "nan"),
     (("classify", "--m", "1", "--input"), b"[true, false, 1, 2, 5]", None),
-    (("classify", "--m", "1", "--input"), b'{"values": "1125"}', None),
-    (("transform", "--sub", "d=1", "--format", "text", "--input"),
-     b'{"values": [1, 1, 2, 5], "label": ["x"]}', None),
     (("transform", "--name", "catalan", "--lincomb=1@-1"), None, None),
     (("transform", "--name", "motzkin", "--sub", "d=2,l=0", "--verify"), None, None),
     # moments or x^n beyond the largest double
@@ -280,6 +277,10 @@ def test_missing_input_file_exits_2(capsys):
     (("verify", "--name", "motzkin", "--n", "700"), None, None),
     (("transform", "--name", "catalan", "--n", "600", "--lincomb=1", "--verify",
       "--check-n", "600"), None, None),
+    # Sequence.from_json shape checks
+    (("classify", "--m", "1", "--input"), b'{"values": "1125"}', None),
+    (("transform", "--sub", "d=1", "--format", "text", "--input"),
+     b'{"values": [1, 1, 2, 5], "label": ["x"]}', None),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, sequence_file, precision):
     if sequence_file is not None:
