@@ -108,6 +108,8 @@ def minimal_parameters(a, n_max: int = None) -> ChainVerdict:
     if not a:
         raise ValueError("need at least one value")
     if n_max is not None:
+        if n_max < 0:
+            raise ValueError("n_max must be >= 0")
         a = a[:n_max + 1]
     zero = a[0] * 0
     one = zero + 1

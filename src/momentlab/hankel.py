@@ -20,7 +20,8 @@ gives the norms N_k = delta_k / delta_{k-1} of its monic orthogonal
 polynomials, so H_k is positive definite exactly when N_0..N_k > 0.
 From the first order where that fails, pivoted LDL^T over the rationals
 (or over a quadratic field when interval endpoints are irrational)
-decides each order: it yields a witness vector for an indefinite matrix,
+decides each order.  For an indefinite matrix it yields a witness vector,
+by back-substitution through the multipliers of that same elimination,
 and a semidefinite-singular verdict carries its own certificate, the
 congruence M = P L D L^T P^T with D >= 0 (also cross-checked by
 exhaustive principal minors up to 12 x 12).  Determinants past the
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientData
-from .exact import Surd, collapse, ensure_fraction, format_rational
-from .seqcore import Sequence
+from .exact import collapse, format_rational
+from .seqcore import Sequence, _values
 
 __all__ = [
     "SymMatrix",
@@ -56,18 +57,6 @@ __all__ = [
     "hausdorff_test",
     "classify",
 ]
-
-
-def _values(y):
-    if isinstance(y, Sequence):
-        return y.values
-    out = []
-    for v in y:
-        if isinstance(v, Surd):
-            out.append(v)
-        else:
-            out.append(ensure_fraction(v))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -131,9 +120,9 @@ def bareiss_det(rows):
     if n == 0:
         return Fraction(1)
     M = [list(r) for r in rows]
-    zero = M[0][0] - M[0][0]
+    zero = Fraction(0)
     sign = 1
-    prev = 1
+    prev = Fraction(1)
     for k in range(n - 1):
         if M[k][k] == zero:
             for i in range(k + 1, n):
@@ -218,59 +207,6 @@ class PsdVerdict:
         return out
 
 
-def _solve_exact(A, b):
-    """Solve A x = b by Gaussian elimination over an exact field."""
-    n = len(A)
-    M = [list(A[i]) + [b[i]] for i in range(n)]
-    zero = b[0] - b[0] if n else Fraction(0)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != zero), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        M[c], M[piv] = M[piv], M[c]
-        for r in range(c + 1, n):
-            if M[r][c] != zero:
-                f = M[r][c] / M[c][c]
-                for j in range(c, n + 1):
-                    M[r][j] = M[r][j] - f * M[c][j]
-    x = [zero] * n
-    for i in range(n - 1, -1, -1):
-        acc = M[i][n]
-        for j in range(i + 1, n):
-            acc = acc - M[i][j] * x[j]
-        x[i] = acc / M[i][i]
-    return x
-
-
-def _embed(n, positions, local):
-    v = [Fraction(0)] * n
-    for pos, val in zip(positions, local):
-        v[pos] = val
-    return tuple(v)
-
-
-def _schur_witness(rows, chosen, tail, tail_vec):
-    """Witness vector for indefiniteness localised on chosen + tail.
-
-    The principal block on ``chosen`` is positive definite and
-    ``tail_vec`` makes the Schur complement's quadratic form on ``tail``
-    negative.  Completing the square against the original matrix entries
-    produces an explicit v with v^T M v < 0.
-    """
-    k = len(chosen)
-    if k == 0:
-        return _embed(len(rows), tail, tail_vec)
-    A11 = [[rows[a][b] for b in chosen] for a in chosen]
-    rhs = []
-    for a in chosen:
-        acc = rows[0][0] - rows[0][0]
-        for tv, tpos in zip(tail_vec, tail):
-            acc = acc - tv * rows[a][tpos]
-        rhs.append(acc)
-    x = _solve_exact(A11, rhs)
-    return _embed(len(rows), list(chosen) + list(tail), list(x) + list(tail_vec))
-
-
 def _int_bareiss(M):
     """Bareiss determinant over plain ints (exact divisions via //)."""
     n = len(M)
@@ -337,12 +273,32 @@ def _all_principal_minors_nonneg(rows):
 _MINOR_FALLBACK_LIMIT = 12
 
 
+def _witness(rows, chosen, tail, tail_vec):
+    """v with v^T M v < 0, by back-substitution through the multipliers.
+
+    ``rows[i][p]`` holds l_ip = S_ip / d_p for every row i still in the
+    Schur block when pivot p was taken, and ``tail_vec`` makes the
+    current Schur block's form on ``tail`` negative.  Solving
+    L^T v = (0, tail_vec) pivot by pivot, in reverse order, gives
+    v^T M v = tail_vec^T S tail_vec < 0; entries off chosen + tail are 0.
+    """
+    v = [Fraction(0)] * len(rows)
+    later = list(tail)
+    for pos, val in zip(tail, tail_vec):
+        v[pos] = val
+    for p in reversed(chosen):
+        v[p] = -sum(rows[i][p] * v[i] for i in later)
+        later.append(p)
+    return tuple(v)
+
+
 def psd_status(M: SymMatrix) -> PsdVerdict:
     """Exact definiteness of a symmetric matrix.
 
     Pivoted LDL^T over the scalars decides every case.  A negative
     diagonal entry, or a zero diagonal with a nonzero off-diagonal entry,
-    in the current Schur block yields a witness v with v^T M v < 0.  When
+    in the current Schur block yields a witness v with v^T M v < 0, by
+    back-substitution through the same elimination's multipliers.  When
     the remaining Schur block is exactly zero, the elimination itself is
     the certificate: M = P L D L^T P^T with D = diag(pivots) >= 0, so M
     is PSD, and singular when fewer pivots than rows were taken.  Up to
@@ -351,7 +307,7 @@ def psd_status(M: SymMatrix) -> PsdVerdict:
     """
     n = M.order + 1
     rows = [list(r) for r in M.rows]
-    zero = rows[0][0] - rows[0][0]
+    zero = Fraction(0)
     remaining = list(range(n))
     chosen = []
     pivots = []
@@ -359,7 +315,7 @@ def psd_status(M: SymMatrix) -> PsdVerdict:
     while remaining:
         neg = next((i for i in remaining if rows[i][i] < zero), None)
         if neg is not None:
-            witness = _schur_witness(M.rows, tuple(chosen), (neg,), (Fraction(1),))
+            witness = _witness(rows, chosen, (neg,), (Fraction(1),))
             return PsdVerdict(PsdVerdict.INDEFINITE, witness=witness)
         piv = next((i for i in remaining if rows[i][i] > zero), None)
         if piv is None:
@@ -372,7 +328,7 @@ def psd_status(M: SymMatrix) -> PsdVerdict:
             # sign taken from the eliminated matrix, where the Schur
             # block on {i, j} actually lives
             tv = (Fraction(1), Fraction(-1) if rows[i][j] > zero else Fraction(1))
-            witness = _schur_witness(M.rows, tuple(chosen), offdiag, tv)
+            witness = _witness(rows, chosen, offdiag, tv)
             return PsdVerdict(PsdVerdict.INDEFINITE, witness=witness)
         d = rows[piv][piv]
         pivots.append(collapse(d))
@@ -380,12 +336,9 @@ def psd_status(M: SymMatrix) -> PsdVerdict:
         chosen.append(piv)
         for i in remaining:
             if rows[i][piv] != zero:
-                f = rows[i][piv] / d
+                f = rows[i][piv] = rows[i][piv] / d
                 for j in remaining:
                     rows[i][j] = rows[i][j] - f * rows[piv][j]
-        for i in remaining:
-            rows[piv][i] = zero
-            rows[i][piv] = zero
 
     if len(chosen) == n:
         return PsdVerdict(PsdVerdict.POSITIVE_DEFINITE, pivots=tuple(pivots))
@@ -611,6 +564,8 @@ def classify(y, m: int, interval=None) -> MomentClassReport:
     One Chebyshev recursion each on y, Ey and the interval combination
     sequence decides every positive definite order; see ``_scan``.
     """
+    if m < 0:
+        raise ValueError("order must be >= 0")
     vals = _values(y)
     if len(vals) < 2 * m + 1:
         raise InsufficientData(f"need {2 * m + 1} values for order {m}")

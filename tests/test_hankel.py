@@ -1,6 +1,7 @@
 """Exact Hankel criteria: determinants, definiteness, classification."""
 
 from fractions import Fraction
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from conftest import (
     cofactor_det,
     principal_minors_nonneg,
     reference_classify,
+    reference_psd_status,
 )
 
 entries = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -79,6 +81,27 @@ def test_bareiss_matches_cofactor(n, data):
     assert ml.bareiss_det(rows) == cofactor_det([row[:] for row in rows])
 
 
+def test_bareiss_det_stays_exact_on_ints():
+    det = ml.bareiss_det([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    assert det == -3 and isinstance(det, Fraction)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: ml.classify([1, 1, 2], -1), ValueError),
+    (lambda: ml.verify_representation(ml.catalog_sequence("catalan", 4)[1],
+                                      ml.density_catalog("catalan"), -1), ValueError),
+    (lambda: ml.minimal_parameters([1 / 4] * 3, n_max=-1), ValueError),
+    (lambda: ml.psd_status(ml.SymMatrix(())).to_dict(),
+     {"status": "positive_definite", "pivots": []}),
+], ids=["classify", "verify_representation", "minimal_parameters", "psd_status"])
+def test_negative_orders_raise_and_empty_matrix_is_definite(call, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError, match=">= 0"):
+            call()
+    else:
+        assert call() == expected
+
+
 # -- definiteness --------------------------------------------------------
 
 def test_psd_positive_definite_pivots():
@@ -115,24 +138,41 @@ def test_psd_zero_matrix():
     assert ml.psd_status(M).status == "positive_semidefinite_singular"
 
 
-@given(st.integers(min_value=1, max_value=5), st.booleans(), st.data())
-@settings(max_examples=80, deadline=None)
-def test_psd_verdicts_reverify(n, gram, data):
-    if gram:
-        # V^T D V with fewer atoms than rows: PSD and singular
+@given(st.integers(min_value=1, max_value=5),
+       st.sampled_from(["gram", "signed gram", "entries"]), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_psd_verdicts_reverify(n, kind, surd, data):
+    scalars = st.builds(lambda a, b: ml.Surd(a, b, 2), entries, entries) if surd else entries
+    if kind != "entries":
+        # V^T D V with fewer atoms than rows: PSD and singular when D > 0.
+        # "signed gram" makes its first r atoms unit upper triangular, so
+        # that elimination pivots on rows 0..r-1, then adds the atoms
+        # e_i +/- c e_j with D = 1, -1 on later rows: their Schur block has
+        # a zero diagonal and off-diagonal entries 2c.
         r = data.draw(st.integers(min_value=0, max_value=n - 1))
-        V = [[data.draw(entries) for _ in range(n)] for _ in range(r)]
+        V = [[data.draw(scalars) for _ in range(n)] for _ in range(r)]
         D = [data.draw(positive) for _ in range(r)]
-        rows = [[sum((D[a] * V[a][i] * V[a][j] for a in range(r)), Fraction(0))
+        if kind == "signed gram":
+            for a in range(r):
+                V[a][:a + 1] = [Fraction(0)] * a + [Fraction(1)]
+            for i, j in itertools.combinations(range(r, n), 2):
+                c = data.draw(scalars)
+                for sign in (1, -1):
+                    atom = [Fraction(0)] * n
+                    atom[i], atom[j] = Fraction(1), sign * c
+                    V.append(atom)
+                    D.append(Fraction(sign))
+        rows = [[sum((D[a] * V[a][i] * V[a][j] for a in range(len(V))), Fraction(0))
                  for j in range(n)] for i in range(n)]
     else:
         rows = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                rows[i][j] = rows[j][i] = data.draw(entries)
+                rows[i][j] = rows[j][i] = data.draw(scalars)
     M = ml.SymMatrix(tuple(tuple(r) for r in rows))
     v = ml.psd_status(M)
-    if gram:
+    assert v.to_dict() == reference_psd_status(M).to_dict()
+    if kind == "gram":
         assert v.status == "positive_semidefinite_singular"
     if v.status == "indefinite":
         assert M.quadratic_form(v.witness) < 0

@@ -48,6 +48,8 @@ def test_determinantal_low_cases():
     assert ml.ops_determinantal(cat, 0).coefficients == (1,)
     assert ml.ops_determinantal(cat, 1).coefficients == (-1, 1)
     assert ml.ops_determinantal(cat, 2).coefficients == (1, -3, 1)
+    # plain int input gives the same exact coefficients
+    assert ml.ops_determinantal([1, 1, 2, 5, 14, 42, 132], 2).coefficients == (1, -3, 1)
 
 
 def test_orthogonality_under_riesz():
@@ -60,6 +62,13 @@ def test_orthogonality_under_riesz():
                 assert ml.riesz(seq, prod) == 0
             sq = poly_mul(polys[m].coefficients, polys[m].coefficients)
             assert ml.riesz(seq, sq) != 0
+
+
+def test_riesz_is_exact_and_rejects_float_moments():
+    total = ml.riesz([1, 2], [1, 1])
+    assert total == 3 and isinstance(total, Fraction)
+    with pytest.raises(TypeError):
+        ml.riesz([1.0, 2.0], [1, 1])
 
 
 def test_recurrence_recovery_catalan():
