@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisFailure, LengthMismatch, PoleAt, ZeroTau
-from .exact import collapse, ensure_fraction, format_rational, is_exact, sqrt_exact
+from .exact import ensure_fraction, format_rational, is_exact, sqrt_exact
 from .orthopoly import true_interval_estimate
 from .seqcore import SigmaTauSpec
 
@@ -65,7 +65,7 @@ def alpha_sequence(spec: SigmaTauSpec, x, n_max: int):
             raise PoleAt(n)
         diffs.append(d)
     for n in range(n_max + 1):
-        out.append(collapse(spec.tau(n + 1) / (diffs[n] * diffs[n + 1])))
+        out.append(spec.tau(n + 1) / (diffs[n] * diffs[n + 1]))
     return out
 
 
@@ -191,10 +191,10 @@ def constant_tail_certificate(entry_parameter, tail_value) -> TailCertificate:
     quarter = Fraction(1, 4)
     if c > quarter:
         return TailCertificate(False, c, entry_parameter, None)
-    disc = collapse(1 - 4 * c)
+    disc = 1 - 4 * c
     if not isinstance(disc, Fraction):
         raise TypeError("constant tail bounds need a rational tail value")
-    g_plus = collapse((1 + sqrt_exact(disc)) / 2)
+    g_plus = (1 + sqrt_exact(disc)) / 2
     ok = entry_parameter <= g_plus
     return TailCertificate(bool(ok), c, entry_parameter, g_plus)
 
@@ -268,8 +268,8 @@ def support_interval(p, s, q, t, strict: bool = True) -> SupportCertificate:
     if q < 0 or t < 0:
         raise ValueError("support certificates need q > 0 and t > 0")
     root = sqrt_exact(t)
-    lower = collapse(s - 2 * root)
-    upper = collapse(s + 2 * root)
+    lower = s - 2 * root
+    upper = s + 2 * root
     flags = {
         "p > s-2*sqrt(t)": p > lower,
         "q < s+2*sqrt(t)": q < upper,
@@ -281,7 +281,7 @@ def support_interval(p, s, q, t, strict: bool = True) -> SupportCertificate:
     g0 = None
     g0_ok = None
     if p > lower:
-        g0 = collapse(1 - q / (root * (p - lower)))
+        g0 = 1 - q / (root * (p - lower))
         g0_ok = bool(0 <= g0) and bool(g0 < 1)
     return SupportCertificate(
         p=p, s=s, q=q, t=t, lower=lower, upper=upper,

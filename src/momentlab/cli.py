@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from . import seqcore
 from .errors import GNegative, HypothesisFailure, MomentLabError
-from .exact import collapse, ensure_fraction, format_rational, sqrt_exact
+from .exact import ensure_fraction, format_rational, sqrt_exact
 
 
 def _default_tol(parser) -> float:
@@ -107,7 +107,7 @@ def _parse_endpoint(token: str, s, t):
         if s is None or t is None:
             raise ValueError("the sqrt tokens need --s and --t")
         s, root = ensure_fraction(s), 2 * sqrt_exact(t)
-        return collapse(s + root if token[1] == "+" else s - root)
+        return s + root if token[1] == "+" else s - root
     return ensure_fraction(token)
 
 
@@ -291,7 +291,7 @@ def _cmd_ops(args, parser):
     if not args.zeros or args.deg == 0:
         return _OpsReport(spec, polys, [] if args.zeros else None), 0
     zeros = [float(z) for z in orthopoly.ops_zeros(spec, args.deg)]
-    return _OpsReport(spec, polys, zeros, orthopoly.true_interval_estimate(spec, args.deg)), 0
+    return _OpsReport(spec, polys, zeros, (zeros[0], zeros[-1])), 0
 
 
 def _add_common(sub):

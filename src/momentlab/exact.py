@@ -6,9 +6,12 @@ the form s - 2*sqrt(t) and s + 2*sqrt(t).  Deciding hypotheses such as
 an irrational endpoint, requires ordered arithmetic in the quadratic
 field Q(sqrt(r)).  :class:`Surd` provides exactly that and nothing more.
 
-Rationals are plain :class:`fractions.Fraction`; a :class:`Surd` whose
-radical part cancels normalises itself to rational form and mixes freely
-with Fractions.
+Rationals are plain :class:`fractions.Fraction`, and that is their one
+normal form: every Surd arithmetic result whose radical part cancels is
+returned as a Fraction, so no caller has to fold results by hand.  Surds
+mix freely with ints and Fractions.  Only a Surd built directly with a
+zero radical part or a square radicand, such as ``Surd(1, 3, 4)``, is
+rational; :func:`collapse` folds such input once, where it enters.
 """
 
 from __future__ import annotations
@@ -63,7 +66,9 @@ class Surd:
 
     The radicand r is a positive non-square rational.  Arithmetic between
     two irrational Surds requires equal radicands; rationals (including
-    Surds that normalised to rational form, stored with r = 0) mix freely.
+    rational Surds built by hand, stored with r = 0) mix freely.  Every
+    arithmetic result is in normal form: a Fraction when its radical part
+    is 0, else a Surd.
     """
 
     __slots__ = ("a", "b", "r")
@@ -154,44 +159,48 @@ class Surd:
         if parts is None:
             return NotImplemented
         oa, ob, rad = parts
-        return Surd(self.a + oa, self.b + ob, rad)
+        return _normal(self.a + oa, self.b + ob, rad)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Surd(-self.a, -self.b, self.r)
+        return _normal(-self.a, -self.b, self.r)
 
     def __sub__(self, other):
         parts = self._components(other)
         if parts is None:
             return NotImplemented
         oa, ob, rad = parts
-        return Surd(self.a - oa, self.b - ob, rad)
+        return _normal(self.a - oa, self.b - ob, rad)
 
     def __rsub__(self, other):
-        return (-self) + other
+        parts = self._components(other)
+        if parts is None:
+            return NotImplemented
+        oa, ob, rad = parts
+        return _normal(oa - self.a, ob - self.b, rad)
 
     def __mul__(self, other):
         parts = self._components(other)
         if parts is None:
             return NotImplemented
         oa, ob, rad = parts
-        return Surd(self.a * oa + self.b * ob * rad, self.a * ob + self.b * oa, rad)
+        return _normal(self.a * oa + self.b * ob * rad, self.a * ob + self.b * oa, rad)
 
     __rmul__ = __mul__
-
-    def _inverse(self):
-        if self._sign() == 0:
-            raise ZeroDivisionError("division by zero")
-        norm = self.a * self.a - self.b * self.b * self.r
-        return Surd(self.a / norm, -self.b / norm, self.r)
 
     def __truediv__(self, other):
         parts = self._components(other)
         if parts is None:
             return NotImplemented
         oa, ob, rad = parts
-        return self * Surd(oa, ob, rad)._inverse()
+        # multiply through by the conjugate oa - ob sqrt(rad); the norm
+        # vanishes only for a zero divisor, since rad is not a square
+        norm = oa * oa - ob * ob * rad
+        if norm == 0:
+            raise ZeroDivisionError("division by zero")
+        return _normal((self.a * oa - self.b * ob * rad) / norm,
+                       (self.b * oa - self.a * ob) / norm, rad)
 
     def __rtruediv__(self, other):
         if not isinstance(other, (int, Fraction)):
@@ -201,7 +210,7 @@ class Surd:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = Surd(1, 0, self.r)
+        out = Fraction(1)
         base = self
         while n:
             if n & 1:
@@ -211,15 +220,16 @@ class Surd:
         return out
 
     def __abs__(self):
-        return -self if self._sign() < 0 else self
+        return -self if self._sign() < 0 else _normal(self.a, self.b, self.r)
 
     # -- ordering ------------------------------------------------------
 
     def _cmp(self, other) -> int:
+        # self - other raises TypeError for an operand it does not support
         diff = self - other
-        if diff is NotImplemented:
-            raise TypeError(f"cannot compare Surd with {type(other).__name__}")
-        return diff._sign()
+        if isinstance(diff, Surd):
+            return diff._sign()
+        return (diff > 0) - (diff < 0)
 
     def __eq__(self, other):
         try:
@@ -245,8 +255,27 @@ class Surd:
         return hash((self.a, self.b, self.r))
 
 
+def _normal(a: Fraction, b: Fraction, r: Fraction):
+    """The normal form of a + b*sqrt(r): the Fraction a when b == 0, else a Surd.
+
+    Every arithmetic result passes through here.  r is 0 or the radicand
+    of an operand, which the constructor has already checked is positive
+    and not a square, so it is stored without a second check.
+    """
+    if b == 0:
+        return a
+    out = object.__new__(Surd)
+    object.__setattr__(out, "a", a)
+    object.__setattr__(out, "b", b)
+    object.__setattr__(out, "r", r)
+    return out
+
+
 def collapse(x):
-    """Fold a rational-valued Surd back into a Fraction; pass others through."""
+    """Fold a rational Surd built by hand into its Fraction; pass others through.
+
+    Arithmetic results are already in this form, so only input needs it.
+    """
     if isinstance(x, Surd) and x.is_rational:
         return x.as_fraction()
     return x

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientData
-from .exact import collapse, format_rational
+from .exact import format_rational
 from .seqcore import Sequence, _values
 
 __all__ = [
@@ -96,7 +96,7 @@ class SymMatrix:
             for j in range(n):
                 if v[j] != 0:
                     total = total + v[i] * self.rows[i][j] * v[j]
-        return collapse(total)
+        return total
 
 
 def hankel_matrix(y, m: int, shift: int = 0) -> SymMatrix:
@@ -131,14 +131,14 @@ def bareiss_det(rows):
                     sign = -sign
                     break
             else:
-                return collapse(zero)
+                return zero
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) / prev
             M[i][k] = zero
         prev = M[k][k]
     out = M[n - 1][n - 1]
-    return collapse(-out if sign < 0 else out)
+    return -out if sign < 0 else out
 
 
 def hankel_det(y, m: int):
@@ -331,7 +331,7 @@ def psd_status(M: SymMatrix) -> PsdVerdict:
             witness = _witness(rows, chosen, offdiag, tv)
             return PsdVerdict(PsdVerdict.INDEFINITE, witness=witness)
         d = rows[piv][piv]
-        pivots.append(collapse(d))
+        pivots.append(d)
         remaining.remove(piv)
         chosen.append(piv)
         for i in remaining:
@@ -400,9 +400,9 @@ def shift(y, j: int = 1):
 def _combination_sequence(vals, a, b, length: int):
     """z_n = (a+b) y_{n+1} - y_{n+2} - ab y_n for n < length, so that
     H_m(z) is the interval combination matrix."""
-    asum = collapse(a + b)
-    aprod = collapse(a * b)
-    return tuple(collapse(asum * vals[n + 1] - vals[n + 2] - aprod * vals[n])
+    asum = a + b
+    aprod = a * b
+    return tuple(asum * vals[n + 1] - vals[n + 2] - aprod * vals[n]
                  for n in range(length))
 
 
@@ -410,7 +410,7 @@ def hausdorff_combination(y, a, b, m: int) -> SymMatrix:
     """The matrix (a+b) H_m(Ey) - H_m(E^2 y) - ab H_m(y).
 
     ``a`` and ``b`` may be Fractions or Surds; for conjugate endpoints
-    s -/+ 2 sqrt(t) both a+b and ab collapse to rationals, so the matrix
+    s -/+ 2 sqrt(t) both a+b and ab come out as Fractions, so the matrix
     stays rational even when the endpoints are irrational.
     """
     vals = _values(y)
@@ -478,9 +478,6 @@ class MomentClassReport:
     failure_witnesses: tuple = ()
 
     def to_json(self) -> str:
-        def endpoint(e):
-            return format_rational(e) if isinstance(e, Fraction) else str(e)
-
         out = {
             "schema": "momentlab/classify/v1",
             "max_order": self.max_order,
@@ -496,7 +493,7 @@ class MomentClassReport:
             ],
         }
         if self.hausdorff_interval is not None:
-            out["hausdorff_interval"] = [endpoint(e) for e in self.hausdorff_interval]
+            out["hausdorff_interval"] = [str(e) for e in self.hausdorff_interval]
             out["hausdorff_ok_up_to"] = self.hausdorff_ok_up_to
             out["hausdorff_checked_up_to"] = self.hausdorff_checked_up_to
             out["hausdorff_status"] = list(self.hausdorff_status)
@@ -586,7 +583,7 @@ def classify(y, m: int, interval=None) -> MomentClassReport:
     stieltjes_ok = min(ham_ok, sh_ok)
 
     # delta_k = N_0 ... N_k until the first vanishing norm
-    deltas = [collapse(d) for d in itertools.accumulate(norms, operator.mul)]
+    deltas = list(itertools.accumulate(norms, operator.mul))
     deltas += [hankel_det(vals, k) for k in range(len(deltas), m + 1)]
 
     hs_interval = None

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import GNegative, InsufficientData, NonIntegrable, TooShort, UnknownName
-from .exact import Surd, collapse, ensure_fraction, is_exact, sign_changes
+from .exact import Surd, ensure_fraction, is_exact, sign_changes
 from .orthopoly import _pdivmod, _ptrim
 from .seqcore import Sequence
 
@@ -171,11 +171,12 @@ def quad(*args, **kwargs):
 _MAX_NODES = 8 * 3 ** 7
 
 
-def _midpoint_rule(g, tol: float) -> float:
+def _midpoint_rule(g, tol: float) -> float | None:
     """Integral of g over (0, pi) by the midpoint rule with 8, 24, 72, ...
-    nodes; tripling keeps the old nodes.  Stops once two estimates differ
-    by at most max(tol, 1e-11 |estimate|).  The nodes are interior, so g
-    is never evaluated at 0 or pi."""
+    nodes; tripling keeps the old nodes.  Returns the first estimate that
+    differs from the one before by at most max(tol, 1e-11 |estimate|), or
+    None when the node count reaches _MAX_NODES first.  The nodes are
+    interior, so g is never evaluated at 0 or pi."""
     n = 8
     total = math.fsum(g((j + 0.5) * math.pi / n) for j in range(n))
     estimate = total * math.pi / n
@@ -184,8 +185,8 @@ def _midpoint_rule(g, tol: float) -> float:
         total += math.fsum(g((j + 0.5) * math.pi / n) for j in range(n) if j % 3 != 1)
         previous, estimate = estimate, total * math.pi / n
         if abs(estimate - previous) <= max(tol, 1e-11 * abs(estimate)):
-            break
-    return estimate
+            return estimate
+    return None
 
 
 def moment_quadrature(dens: Density, n: int, tol: float = 1e-10) -> float:
@@ -193,9 +194,11 @@ def moment_quadrature(dens: Density, n: int, tol: float = 1e-10) -> float:
 
     Exponents in {-1/2, 1/2, 3/2, ...} (every catalog density and their
     polynomial transforms) go through the cosine substitution and the
-    midpoint rule; anything else splits at the midpoint of [a, b] and
-    removes each endpoint singularity with the matching power map before
-    adaptive quadrature.
+    midpoint rule.  Anything else, and any case where the midpoint rule
+    reaches its node cap unconverged (a transform whose mapped integrand
+    is not analytic, such as the x^3 pushforward of x w), splits at the
+    midpoint of [a, b] and removes each endpoint singularity with the
+    matching power map before adaptive quadrature.
     """
     if n < 0:
         raise ValueError("moment order must be >= 0")
@@ -213,8 +216,10 @@ def moment_quadrature(dens: Density, n: int, tol: float = 1e-10) -> float:
     if _is_odd_half(ea) and _is_odd_half(eb):
         c = 0.5 * (a + b)
         h = 0.5 * (b - a)
-        return _midpoint_rule(lambda theta: f(c - h * math.cos(theta)) * h * math.sin(theta),
-                              tol)
+        estimate = _midpoint_rule(
+            lambda theta: f(c - h * math.cos(theta)) * h * math.sin(theta), tol)
+        if estimate is not None:
+            return estimate
 
     mid = 0.5 * (a + b)
     total = 0.0
@@ -459,7 +464,7 @@ def check_g_nonneg(g, a, b) -> GVerdict:
 
     for x in (a, b):
         if _poly_eval(g, x) < 0:
-            return GVerdict(GVerdict.VIOLATED, collapse(x))
+            return GVerdict(GVerdict.VIOLATED, x)
     pieces = [(a, changes(a), b, changes(b))]
     while pieces:
         u, cu, v, cv = pieces.pop()
@@ -469,7 +474,7 @@ def check_g_nonneg(g, a, b) -> GVerdict:
         while (gm := _poly_eval(g, m)) == 0:
             m = (u + m) / 2
         if gm < 0:
-            return GVerdict(GVerdict.VIOLATED, collapse(m))
+            return GVerdict(GVerdict.VIOLATED, m)
         cm = changes(m)
         pieces += [(u, cu, m, cm), (m, cm, v, cv)]
     return GVerdict(GVerdict.CERTIFIED)

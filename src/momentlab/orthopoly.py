@@ -118,9 +118,13 @@ class MonicPolynomial:
 
 
 def riesz(y, coefficients) -> Fraction:
-    """Apply the moment functional: sum of c_n * y_n."""
+    """Apply the moment functional: sum of c_n * y_n.
+
+    Moments and coefficients are both coerced by ``ensure_fraction``, so
+    a float in either raises TypeError.
+    """
     vals = _values(y)
-    coefficients = tuple(coefficients)
+    coefficients = tuple(ensure_fraction(c) for c in coefficients)
     if len(coefficients) > len(vals):
         raise InsufficientData(
             f"functional needs {len(coefficients)} moments, have {len(vals)}")

@@ -219,6 +219,17 @@ def test_transform_verify(capsys):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("name", ["catalan", "central_binomial"])
+def test_transform_verify_pushforward_at_tight_tol(capsys, name):
+    # the x^3 pushforward of x w has a left exponent of -1/2, but its
+    # cosine-mapped integrand is not analytic: the midpoint rule reaches
+    # its node cap and the power map has to take over
+    code, out, _ = run(capsys, "transform", "--name", name, "--sub", "d=3,l=1",
+                       "--verify", "--tol", "1e-9")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_transform_requires_exactly_one_kind(capsys):
     with pytest.raises(SystemExit) as info:
         main(["transform", "--name", "catalan", "--n", "8"])

@@ -71,10 +71,17 @@ def test_field_axioms(a, b, c, d, r):
     x = Surd(a, b, r)
     y = Surd(c, d, r)
     assert collapse(x - x) == 0
+    assert type(x - x) is Fraction
     assert (x + y) - y == x
     assert x * y == y * x
     if not (c == 0 and d == 0):
         assert (x * y) / y == x
+    # a result is a Fraction exactly when its radical part vanishes
+    assert isinstance(x + y, Fraction) == (b + d == 0)
+    assert isinstance(x * y, Fraction) == (a * d + b * c == 0)
+    assert isinstance(x * Surd(a, -b, r), Fraction)
+    assert x ** 0 == 1
+    assert type(x ** 0) is Fraction
 
 
 @given(a=rationals, b=rationals, c=rationals, d=rationals, r=radicands)
@@ -96,3 +103,8 @@ def test_mixed_arithmetic_with_fractions(a, b, r):
     assert q + x == x + q
     assert q * x == x * q
     assert collapse((x + q) - x) == q
+    assert type((x + q) - x) is Fraction
+    results = [-x, abs(x), x ** 1, q + x, q - x, q * x, x / q]
+    if x != 0:
+        results.append(q / x)
+    assert all(isinstance(v, Fraction) == (b == 0) for v in results)

@@ -69,6 +69,8 @@ def test_riesz_is_exact_and_rejects_float_moments():
     assert total == 3 and isinstance(total, Fraction)
     with pytest.raises(TypeError):
         ml.riesz([1.0, 2.0], [1, 1])
+    with pytest.raises(TypeError):
+        ml.riesz([1, 2], [0.5, 1])
 
 
 def test_recurrence_recovery_catalan():
