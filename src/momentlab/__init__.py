@@ -33,7 +33,6 @@ _EXPORTS = {
         "HausdorffVerdict", "MomentClassReport", "PsdVerdict", "SymMatrix",
         "bareiss_det", "classify", "hankel_det", "hankel_matrix",
         "hausdorff_combination", "hausdorff_test", "psd_status", "shift",
-        "total_positive_up_to",
     ),
     "orthopoly": (
         "MonicPolynomial", "ops_determinantal", "ops_from_recurrence", "ops_zeros",

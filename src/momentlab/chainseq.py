@@ -45,18 +45,16 @@ __all__ = [
     "certify_support",
 ]
 
-#: |a_n - (1-g_n) g_{n+1}| tolerance when verifying float-valued data.
-FLOAT_TOL = 1e-12
-
-
 def alpha_sequence(spec: SigmaTauSpec, x, n_max: int):
     """alpha_0 .. alpha_{n_max} at the point x.
 
-    Exact when x is exact (Fraction or Surd); floats propagate as
-    floats.  Raises PoleAt(n) when x collides with some s_n.
+    x must be exact (an int, Fraction or Surd); anything else, such as a
+    float, raises TypeError.  Raises PoleAt(n) when x collides with some s_n.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if not is_exact(x):
+        raise TypeError(f"alpha_sequence needs an exact point, got {x!r}")
     out = []
     diffs = []
     for n in range(n_max + 2):
@@ -99,10 +97,11 @@ class ChainVerdict:
 def minimal_parameters(a, n_max: int = None) -> ChainVerdict:
     """Run g_0 = 0, g_{n+1} = a_n / (1 - g_n) and watch the range.
 
-    The input may be exact scalars or floats; comparisons are exact in
-    the exact case.  A zero a_n is accepted (its parameter is 0), which
-    deliberately widens the textbook range (0, 1) for later parameters
-    to [0, 1): the all-zero sequence then counts as a chain sequence.
+    The values must be exact scalars (a float raises TypeError), and
+    every comparison is exact.  A zero a_n is accepted (its parameter is
+    0), which deliberately widens the textbook range (0, 1) for later
+    parameters to [0, 1): the all-zero sequence then counts as a chain
+    sequence.
     """
     a = list(a)
     if not a:
@@ -111,8 +110,9 @@ def minimal_parameters(a, n_max: int = None) -> ChainVerdict:
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
         a = a[:n_max + 1]
-    zero = a[0] * 0
-    one = zero + 1
+    if not all(map(is_exact, a)):
+        raise TypeError("chain parameters require exact scalars")
+    zero, one = Fraction(0), Fraction(1)
     params = [zero]
     failure = None
     for n, an in enumerate(a):
@@ -130,28 +130,25 @@ def minimal_parameters(a, n_max: int = None) -> ChainVerdict:
     return ChainVerdict(up_to, tuple(params), failure)
 
 
-def is_chain_with_parameters(a, g, tol: float = FLOAT_TOL) -> bool:
+def is_chain_with_parameters(a, g) -> bool:
     """Verify an explicitly proposed parameter sequence.
 
     Checks 0 <= g_0 < 1, 0 < g_{n+1} < 1 and a_n = (1 - g_n) g_{n+1}
-    for every n; the product comparison is exact for exact scalars and
-    within ``tol`` for floats.
+    for every n, all exactly; a float in ``a`` or ``g`` raises TypeError.
     """
     a = list(a)
     g = list(g)
     if len(g) != len(a) + 1:
         raise LengthMismatch(f"need {len(a) + 1} parameters for {len(a)} values")
+    if not all(map(is_exact, a + g)):
+        raise TypeError("chain checks require exact scalars")
     if not (0 <= g[0] < 1):
         return False
     for gk in g[1:]:
         if not (0 < gk < 1):
             return False
     for n, an in enumerate(a):
-        prod = (1 - g[n]) * g[n + 1]
-        if is_exact(an) and is_exact(prod):
-            if prod != an:
-                return False
-        elif abs(float(prod) - float(an)) > tol:
+        if (1 - g[n]) * g[n + 1] != an:
             return False
     return True
 

@@ -7,16 +7,16 @@ an irrational endpoint, requires ordered arithmetic in the quadratic
 field Q(sqrt(r)).  :class:`Surd` provides exactly that and nothing more.
 
 Rationals are plain :class:`fractions.Fraction`, and that is their one
-normal form: every Surd arithmetic result whose radical part cancels is
-returned as a Fraction, so no caller has to fold results by hand.  Surds
-mix freely with ints and Fractions.  Only a Surd built directly with a
-zero radical part or a square radicand, such as ``Surd(1, 3, 4)``, is
-rational; :func:`collapse` folds such input once, where it enters.
+normal form: the constructor and every arithmetic operation return a
+Fraction for a rational value, so ``Surd(1, 3, 4)`` is ``Fraction(7)``
+and no caller has to fold results by hand.  Every Surd is irrational.
+Surds mix freely with ints and Fractions.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -58,50 +58,36 @@ def sqrt_exact(x):
     root = _exact_sqrt_of_fraction(x)
     if root is not None:
         return root
-    return Surd(0, 1, x)
+    return _normal(Fraction(0), Fraction(1), x)
 
 
 class Surd:
-    """An element a + b*sqrt(r) of a real quadratic field, exactly ordered.
+    """An irrational element a + b*sqrt(r) of a real quadratic field, exactly ordered.
 
-    The radicand r is a positive non-square rational.  Arithmetic between
-    two irrational Surds requires equal radicands; rationals (including
-    rational Surds built by hand, stored with r = 0) mix freely.  Every
-    arithmetic result is in normal form: a Fraction when its radical part
-    is 0, else a Surd.
+    ``Surd(a, b, r)`` returns the Fraction a + b*sqrt(r) when b == 0 or r
+    is a square, so every Surd has b != 0 and a positive non-square
+    radicand r.  Arithmetic between two Surds requires equal radicands;
+    ints and Fractions mix freely, and floats not at all (ordering against
+    one raises TypeError).  Every arithmetic result is in the same normal
+    form: a Fraction when its radical part is 0, else a Surd.
     """
 
     __slots__ = ("a", "b", "r")
 
-    def __init__(self, a, b, r):
-        a = ensure_fraction(a)
-        b = ensure_fraction(b)
-        r = ensure_fraction(r)
-        if r < 0:
-            raise ValueError("negative radicand")
-        if b != 0 and r != 0:
-            root = _exact_sqrt_of_fraction(r)
-            if root is not None:
-                a, b = a + b * root, Fraction(0)
-        if b == 0 or r == 0:
-            b, r = Fraction(0), Fraction(0)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "r", r)
+    def __new__(cls, a, b, r):
+        a, b, r = ensure_fraction(a), ensure_fraction(b), ensure_fraction(r)
+        root = _exact_sqrt_of_fraction(r)  # raises ValueError when r < 0
+        if root is not None:
+            return a + b * root
+        return _normal(a, b, r)
 
     def __setattr__(self, *args):
         raise AttributeError("Surd is immutable")
 
+    def __reduce__(self):
+        return (Surd, (self.a, self.b, self.r))
+
     # -- conversions ---------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.a
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(float(self.r))
@@ -110,8 +96,6 @@ class Surd:
         return f"Surd({self})"
 
     def __str__(self):
-        if self.is_rational:
-            return str(self.a)
         sign = "+" if self.b > 0 else "-"
         mag = abs(self.b)
         coef = "" if mag == 1 else f"{mag}*"
@@ -123,22 +107,17 @@ class Surd:
     # -- internals -----------------------------------------------------
 
     def _components(self, other):
-        """(a, b, r) triple for self and other in a common field, or None."""
+        """(a, b) of other in Q(sqrt(self.r)), or None for an unsupported type."""
         if isinstance(other, Surd):
-            oa, ob, orr = other.a, other.b, other.r
-        elif isinstance(other, (int, Fraction)):
-            oa, ob, orr = ensure_fraction(other), Fraction(0), Fraction(0)
-        else:
-            return None
-        if self.b != 0 and ob != 0 and self.r != orr:
-            raise ValueError(f"incompatible radicands {self.r} and {orr}")
-        rad = self.r if self.b != 0 else orr
-        return oa, ob, rad
+            if other.r != self.r:
+                raise ValueError(f"incompatible radicands {self.r} and {other.r}")
+            return other.a, other.b
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            return Fraction(other), Fraction(0)
+        return None
 
     def _sign(self) -> int:
         a, b, r = self.a, self.b, self.r
-        if b == 0:
-            return (a > 0) - (a < 0)
         if a == 0:
             return (b > 0) - (b < 0)
         if a > 0 and b > 0:
@@ -158,8 +137,8 @@ class Surd:
         parts = self._components(other)
         if parts is None:
             return NotImplemented
-        oa, ob, rad = parts
-        return _normal(self.a + oa, self.b + ob, rad)
+        oa, ob = parts
+        return _normal(self.a + oa, self.b + ob, self.r)
 
     __radd__ = __add__
 
@@ -170,22 +149,23 @@ class Surd:
         parts = self._components(other)
         if parts is None:
             return NotImplemented
-        oa, ob, rad = parts
-        return _normal(self.a - oa, self.b - ob, rad)
+        oa, ob = parts
+        return _normal(self.a - oa, self.b - ob, self.r)
 
     def __rsub__(self, other):
         parts = self._components(other)
         if parts is None:
             return NotImplemented
-        oa, ob, rad = parts
-        return _normal(oa - self.a, ob - self.b, rad)
+        oa, ob = parts
+        return _normal(oa - self.a, ob - self.b, self.r)
 
     def __mul__(self, other):
         parts = self._components(other)
         if parts is None:
             return NotImplemented
-        oa, ob, rad = parts
-        return _normal(self.a * oa + self.b * ob * rad, self.a * ob + self.b * oa, rad)
+        oa, ob = parts
+        r = self.r
+        return _normal(self.a * oa + self.b * ob * r, self.a * ob + self.b * oa, r)
 
     __rmul__ = __mul__
 
@@ -193,19 +173,25 @@ class Surd:
         parts = self._components(other)
         if parts is None:
             return NotImplemented
-        oa, ob, rad = parts
-        # multiply through by the conjugate oa - ob sqrt(rad); the norm
-        # vanishes only for a zero divisor, since rad is not a square
-        norm = oa * oa - ob * ob * rad
+        oa, ob = parts
+        r = self.r
+        # multiply through by the conjugate oa - ob sqrt(r); the norm
+        # vanishes only for a zero divisor, since r is not a square
+        norm = oa * oa - ob * ob * r
         if norm == 0:
             raise ZeroDivisionError("division by zero")
-        return _normal((self.a * oa - self.b * ob * rad) / norm,
-                       (self.b * oa - self.a * ob) / norm, rad)
+        return _normal((self.a * oa - self.b * ob * r) / norm,
+                       (self.b * oa - self.a * ob) / norm, r)
 
     def __rtruediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
+        parts = self._components(other)
+        if parts is None:
             return NotImplemented
-        return Surd(other, 0, self.r) / self
+        # other is rational (a Surd dividend calls __truediv__): multiply
+        # through by the conjugate a - b sqrt(r), whose norm a^2 - b^2 r is
+        # nonzero because r is not a square
+        scale = parts[0] / (self.a * self.a - self.b * self.b * self.r)
+        return _normal(scale * self.a, -scale * self.b, self.r)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -220,47 +206,45 @@ class Surd:
         return out
 
     def __abs__(self):
-        return -self if self._sign() < 0 else _normal(self.a, self.b, self.r)
+        return -self if self._sign() < 0 else self
 
     # -- ordering ------------------------------------------------------
 
-    def _cmp(self, other) -> int:
-        # self - other raises TypeError for an operand it does not support
-        diff = self - other
-        if isinstance(diff, Surd):
-            return diff._sign()
-        return (diff > 0) - (diff < 0)
+    def _compare(self, other, op):
+        """op(sign of self - other, 0), or NotImplemented for an operand
+        that _components does not accept."""
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
+            return diff
+        sign = diff._sign() if isinstance(diff, Surd) else (diff > 0) - (diff < 0)
+        return op(sign, 0)
 
     def __eq__(self, other):
-        try:
-            return self._cmp(other) == 0
-        except TypeError:
-            return NotImplemented
+        return self._compare(other, operator.eq)
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        return self._compare(other, operator.lt)
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        return self._compare(other, operator.le)
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return self._compare(other, operator.ge)
 
     def __hash__(self):
-        if self.is_rational:
-            return hash(self.a)
         return hash((self.a, self.b, self.r))
 
 
 def _normal(a: Fraction, b: Fraction, r: Fraction):
     """The normal form of a + b*sqrt(r): the Fraction a when b == 0, else a Surd.
 
-    Every arithmetic result passes through here.  r is 0 or the radicand
-    of an operand, which the constructor has already checked is positive
-    and not a square, so it is stored without a second check.
+    The constructor and every arithmetic result pass through here.  r has
+    already been checked to be positive and not a square, by the
+    constructor or because it is an operand's radicand, so it is stored
+    without a second check.
     """
     if b == 0:
         return a
@@ -269,16 +253,6 @@ def _normal(a: Fraction, b: Fraction, r: Fraction):
     object.__setattr__(out, "b", b)
     object.__setattr__(out, "r", r)
     return out
-
-
-def collapse(x):
-    """Fold a rational Surd built by hand into its Fraction; pass others through.
-
-    Arithmetic results are already in this form, so only input needs it.
-    """
-    if isinstance(x, Surd) and x.is_rational:
-        return x.as_fraction()
-    return x
 
 
 def is_exact(x) -> bool:

@@ -46,12 +46,10 @@ __all__ = [
     "PsdVerdict",
     "HausdorffVerdict",
     "MomentClassReport",
-    "TotalPositivityVerdict",
     "hankel_matrix",
     "hankel_det",
     "bareiss_det",
     "psd_status",
-    "total_positive_up_to",
     "shift",
     "hausdorff_combination",
     "hausdorff_test",
@@ -352,36 +350,6 @@ def psd_status(M: SymMatrix) -> PsdVerdict:
                 f"internal disagreement: minor {subset} = {value} negative")
     padded = tuple(pivots) + (Fraction(0),) * (n - len(chosen))
     return PsdVerdict(PsdVerdict.PSD_SINGULAR, pivots=padded)
-
-
-@dataclass(frozen=True)
-class TotalPositivityVerdict:
-    ok: bool
-    failing_rows: tuple = None
-    failing_cols: tuple = None
-    failing_value: Fraction = None
-
-
-def total_positive_up_to(y, m: int, minor_order: int,
-                         force: bool = False) -> TotalPositivityVerdict:
-    """Check every minor of H_m(y) of size <= minor_order for nonnegativity.
-
-    Exhaustive enumeration, exponential in m; refuse m > 6 unless forced.
-    """
-    if m > 6 and not force:
-        raise ValueError("minor enumeration above m = 6 needs force=True")
-    if minor_order > m + 1:
-        raise ValueError("minor_order exceeds the matrix size")
-    H = hankel_matrix(y, m).rows
-    idx = range(m + 1)
-    for size in range(1, minor_order + 1):
-        for rsel in itertools.combinations(idx, size):
-            for csel in itertools.combinations(idx, size):
-                minor = [[H[i][j] for j in csel] for i in rsel]
-                d = bareiss_det(minor)
-                if d < 0:
-                    return TotalPositivityVerdict(False, rsel, csel, d)
-    return TotalPositivityVerdict(True)
 
 
 def shift(y, j: int = 1):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnknownName, ZeroTau
-from .exact import Surd, collapse, ensure_fraction, format_rational
+from .exact import Surd, ensure_fraction, format_rational
 
 __all__ = [
     "SigmaTauSpec",
@@ -227,14 +227,14 @@ class Sequence:
 
 def _values(y) -> tuple:
     """The exact values of sequence input: a Sequence's own, else each
-    item as a Fraction (see ``ensure_fraction``), with irrational Surds
-    kept and rational ones folded to their Fraction."""
+    item as a Fraction (see ``ensure_fraction``), with Surds kept (every
+    Surd is irrational; the constructor returns rationals as Fractions)."""
     if isinstance(y, Sequence):
         return y.values
     # a list, not a generator: tuple() of a generator regrows its buffer,
     # which on classify's hot path raised the atomic_singular benchmark's
     # peak RSS by about 1 MB
-    return tuple([collapse(v) if isinstance(v, Surd) else ensure_fraction(v) for v in y])
+    return tuple([v if isinstance(v, Surd) else ensure_fraction(v) for v in y])
 
 
 def _rows(spec: SigmaTauSpec, n_max: int):

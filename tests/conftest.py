@@ -305,7 +305,6 @@ def reference_psd_status(M):
     builds each witness by a second elimination on the original entries;
     no principal-minor cross-check."""
     import momentlab as ml
-    from momentlab.exact import collapse
 
     n = M.order + 1
     rows = [list(r) for r in M.rows]
@@ -329,7 +328,7 @@ def reference_psd_status(M):
             witness = _schur_witness(M.rows, chosen, offdiag, tv)
             return ml.PsdVerdict(ml.PsdVerdict.INDEFINITE, witness=witness)
         d = rows[piv][piv]
-        pivots.append(collapse(d))
+        pivots.append(d)
         remaining.remove(piv)
         chosen.append(piv)
         for i in remaining:

@@ -1,5 +1,7 @@
 """Chain sequences, minimal parameters, and support certification."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,7 +10,6 @@ import pytest
 import momentlab as ml
 from momentlab import Surd
 from momentlab.chainseq import TailCertificate, _zero_beyond
-from momentlab.exact import collapse
 from conftest import (CERTIFIABLE_INTERVALS, UNCERTIFIABLE, count_sign_changes,
                       interval_endpoints, ops_values, reference_zeros_ok)
 
@@ -32,10 +33,15 @@ def test_alpha_pole():
     assert info.value.index == 0
 
 
-def test_alpha_float_mode():
-    spec = ml.make_spec(1, 2, 1, 1)
-    alphas = ml.alpha_sequence(spec, 0.5, 2)
-    assert alphas[0] == pytest.approx(1 / ((1 - 0.5) * (2 - 0.5)))
+@pytest.mark.parametrize("call", [
+    lambda: ml.alpha_sequence(ml.make_spec(1, 2, 1, 1), 0.5, 2),
+    lambda: ml.minimal_parameters([0.25] * 3),
+    lambda: ml.is_chain_with_parameters([0.25], [Fraction(1, 2)] * 2),
+    lambda: ml.is_chain_with_parameters([Fraction(1, 4)], [Fraction(1, 2), 0.5]),
+], ids=["alpha_sequence", "minimal_parameters", "is_chain_float_a", "is_chain_float_g"])
+def test_float_input_raises_type_error(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_minimal_parameters_constant_quarter():
@@ -131,6 +137,15 @@ def test_support_interval_motzkin():
     assert (cert.lower, cert.upper) == (-1, 3)
     assert not cert.stieltjes_flag
     assert cert.g0 == Fraction(1, 2)
+
+
+def test_certificates_survive_copy_and_pickle():
+    cert = ml.support_interval(3, 3, 4, 2)
+    report = ml.certify_support(ml.make_spec(3, 3, 4, 2), n_check=20)
+    assert isinstance(cert.upper, Surd)
+    for obj in (cert, report):
+        assert copy.deepcopy(obj) == obj
+        assert pickle.loads(pickle.dumps(obj)) == obj
 
 
 def test_support_interval_rejects_bad_tau():
@@ -282,7 +297,7 @@ def test_zero_beyond_matches_recurrence_count():
         spec = ml.make_spec(p, s, q, t)
         root = ml.sqrt_exact(t)
         for r, sign in ((root, 1), (-root, -1)):
-            x = collapse(s + 2 * r)
+            x = s + 2 * r
             for n in (0, 1, 2, 7, 50):
                 count = count_sign_changes(
                     sign ** k * v for k, v in enumerate(ops_values(spec, x, n)))

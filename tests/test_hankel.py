@@ -186,33 +186,6 @@ def test_psd_verdicts_reverify(n, kind, surd, data):
             assert len(v.pivots) == n and all(p >= 0 for p in v.pivots)
 
 
-# -- total positivity ----------------------------------------------------
-
-def test_total_positivity_catalan():
-    _, cat = ml.catalog_sequence("catalan", 7)
-    verdict = ml.total_positive_up_to(cat, 3, 4)
-    assert verdict.ok
-
-
-def test_total_positivity_alternating():
-    verdict = ml.total_positive_up_to([1, -1, 1, -1], 1, 2)
-    assert not verdict.ok
-    assert verdict.failing_value < 0
-    # a negative entry shows up as a failing 1x1 minor
-    assert len(verdict.failing_rows) == 1
-
-
-def test_total_positivity_order_one_scans_entries():
-    verdict = ml.total_positive_up_to([2, 1, 3], 1, 1)
-    assert verdict.ok
-
-
-def test_total_positivity_guard():
-    _, cat = ml.catalog_sequence("catalan", 20)
-    with pytest.raises(ValueError):
-        ml.total_positive_up_to(cat, 8, 2)
-
-
 # -- shift ---------------------------------------------------------------
 
 def test_shift_examples():

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentlab as ml
-from momentlab.exact import collapse
 from conftest import poly_mul, reference_moment_quadrature
 
 
@@ -56,7 +55,7 @@ def _random_nonneg_g(rng, dens):
     """c E(x) h(x)^2 with E = 1, (x - a)(b - x) or, on a rational interval,
     x - a or b - x: nonnegative on [a, b] and rational."""
     a, b = dens.a_exact, dens.b_exact
-    factors = [[1], [collapse(-a * b), collapse(a + b), -1]]
+    factors = [[1], [-a * b, a + b, -1]]
     if isinstance(a, Fraction):
         factors += [[-a, 1], [b, -1]]
     h = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
