@@ -79,7 +79,6 @@ class ChainVerdict:
     is_chain_up_to: int
     parameters: tuple
     failure_index: int = None
-    mode: str = "minimal_parameters"
 
     @property
     def ok(self) -> bool:
@@ -87,7 +86,7 @@ class ChainVerdict:
 
     def to_dict(self) -> dict:
         return {
-            "mode": self.mode,
+            "mode": "minimal_parameters",
             "is_chain_up_to": self.is_chain_up_to,
             "failure_index": self.failure_index,
             "parameters_head": [str(g) for g in self.parameters[:8]],

@@ -390,7 +390,22 @@ print(code, sorted({"numpy", "scipy"} & set(sys.modules)))
 """
 
 
-@pytest.mark.parametrize("argv,loads_scipy", [
+_BLOCKED = """
+import sys
+sys.modules["numpy"] = sys.modules["scipy"] = None  # importing either now fails
+from momentlab import measures
+from momentlab.cli import main
+calls, quad = [], measures.quad
+measures.quad = lambda *args: calls.append(args) or quad(*args)
+try:
+    code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+except SystemExit as exc:  # argparse rejects bad input at parse time
+    code = exc.code
+print(code, bool(calls), [name for name in ("numpy", "scipy") if sys.modules[name]])
+"""
+
+
+@pytest.mark.parametrize("argv,power_map", [
     ((), False),
     (("gen", "--name", "delannoy", "--n", "30"), False),
     (("classify", "--m", "4", "--input", "seq.json", "--interval", "0,4"), False),
@@ -398,17 +413,17 @@ print(code, sorted({"numpy", "scipy"} & set(sys.modules)))
     (("ops", "--name", "catalan", "--deg", "5", "--zeros"), False),
     (("support", "--p", "3", "--s", "3", "--q", "4", "--t", "2", "--check", "200"), False),
     (("transform", "--name", "delannoy", "--lincomb=0,1", "--verify"), False),
-    # the x^2 pushforward has a -3/4 endpoint exponent: power map and scipy
+    # the x^2 pushforward has a -3/4 endpoint exponent: the power map
     (("transform", "--name", "catalan", "--sub", "d=2,l=0", "--verify"), True),
 ])
-def test_numpy_scipy_load_only_where_needed(tmp_path, argv, loads_scipy):
+def test_numpy_scipy_load_only_where_needed(tmp_path, argv, power_map):
+    """Every subcommand runs with numpy and scipy unimportable, the power-map
+    quadrature included."""
     _, cat = ml.catalog_sequence("catalan", 12)
     (tmp_path / "seq.json").write_text(cat.to_json())
-    proc = run_process(("-c", _LOADED, *argv), cwd=tmp_path)
+    proc = run_process(("-c", _BLOCKED, *argv), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
-    assert code == "0"
-    assert loaded == ("['numpy', 'scipy']" if loads_scipy else "[]")
+    assert proc.stdout.splitlines()[-1] == f"0 {power_map} []"
 
 
 _MOMENTLAB_LOADED = _LOADED + """

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentlab as ml
+from momentlab import measures
 from conftest import poly_mul, reference_moment_quadrature
 
 
@@ -68,7 +69,8 @@ def test_moments_match_exact_targets():
     """Quadrature reproduces exact moments to 1e-12 (relative, absolute below
     1), as closely as the scipy reference: the five densities at n <= 20
     and seeded transforms g(x) w(x); a density with integer exponents goes
-    through the power-map branch."""
+    through the power-map branch.  Two more power-map densities, exponent
+    -3/4 at 0 and -1/2 at 1, are checked against their exact moments only."""
     rng = random.Random(12)
     cases = []
     for name in ml.density_names():
@@ -87,6 +89,31 @@ def test_moments_match_exact_targets():
         for n, target, computed, _, _ in report.rows[::4]:
             reference = reference_moment_quadrature(dens, n, 1e-13)
             assert abs(computed - reference) <= 1e-12 * max(1.0, abs(target))
+    power_map = [
+        (ml.Density("x^(-3/4)", 0.0, 1.0, lambda x: x ** -0.75, -0.75, 0.0),
+         [Fraction(4, 4 * n + 1) for n in range(9)]),
+        (ml.Density("(1-x)^(-1/2)", 0.0, 1.0, lambda x: (1.0 - x) ** -0.5, 0.0, -0.5),
+         [Fraction(math.factorial(n) * 2 ** (n + 1), math.prod(range(1, 2 * n + 2, 2)))
+          for n in range(9)]),
+    ]
+    for dens, targets in power_map:
+        report = ml.verify_representation(targets, dens, len(targets) - 1, tol=1e-7)
+        assert report.max_rel_error <= 1e-12, dens.label
+
+
+def test_gauss_legendre_rule():
+    """The 10-point rule integrates x^k exactly for k <= 19; the adaptive
+    rule never evaluates at an end, even of a panel next to a singularity,
+    and a non-finite sum raises NonIntegrable."""
+    for k in range(20):
+        got = math.fsum(w * (x ** k + (-x) ** k) for x, w in measures._GAUSS)
+        assert got == pytest.approx(2 / (k + 1) if k % 2 == 0 else 0.0, abs=1e-16)
+    seen = []
+    got = measures.quad(lambda x: seen.append(x) or 1 / math.sqrt(x), 0.0, 1.0, 1e-10)
+    assert got == pytest.approx(2.0, abs=1e-9)
+    assert 0.0 < min(seen) and max(seen) < 1.0
+    with pytest.raises(ml.NonIntegrable):
+        measures.quad(lambda x: math.inf, 0.0, 1.0, 1e-10)
 
 
 @pytest.mark.parametrize("name", ["catalan", "central_binomial", "motzkin",
@@ -326,6 +353,19 @@ def test_verify_transform_consistency_subsequence():
                                              ml.density_catalog("catalan"),
                                              8, tol=1e-6)
     assert report.passed
+
+
+@pytest.mark.parametrize("name", ["catalan", "central_binomial", "delannoy"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("offset", [0, 1, 2, 3])
+def test_subsequence_matches_pushforward_at_tight_tol(name, d, offset):
+    """y_{dk+l} against the x^d pushforward of x^l w at 1e-9: power maps at
+    a zero endpoint, and the midpoint rule handing over at its node cap."""
+    _, y = ml.catalog_sequence(name, 8 * d + offset)
+    tspec = ml.TransformSpec(ml.TransformSpec.SUBSEQUENCE, d=d, offset=offset)
+    report = ml.verify_transform_consistency(y, tspec, ml.density_catalog(name),
+                                             8, tol=1e-9)
+    assert report.passed, report.max_rel_error
 
 
 def test_verify_transform_consistency_translation():
