@@ -18,14 +18,18 @@ actually checked and never claims the infinite statement.
 All decisions here are exact.  One Chebyshev recursion per sequence
 gives the norms N_k = delta_k / delta_{k-1} of its monic orthogonal
 polynomials, so H_k is positive definite exactly when N_0..N_k > 0.
-From the first order where that fails, pivoted LDL^T over the rationals
-(or over a quadratic field when interval endpoints are irrational)
-decides each order.  For an indefinite matrix it yields a witness vector,
-by back-substitution through the multipliers of that same elimination,
-and a semidefinite-singular verdict carries its own certificate, the
-congruence M = P L D L^T P^T with D >= 0 (also cross-checked by
-exhaustive principal minors up to 12 x 12).  Determinants past the
-first vanishing norm come from fraction-free (Bareiss) elimination.
+At the first order r where that fails the same recursion holds the row
+sigma_{r,l} = L[P_r x^l], which decides every later order without an
+elimination (the flat-extension structure of Curto & Fialkow, Houston
+J. Math. 17, 1991): N_r < 0 makes H_r indefinite, and when N_r = 0,
+H_k for k >= r is positive semidefinite and singular exactly when
+sigma_{r,l} = 0 for r <= l < 2k-r and sigma_{r,2k-r} >= 0.  Each such
+order up to 12 x 12 is cross-checked by exhaustive principal minors,
+and its determinant is 0.  Pivoted LDL^T over the rationals (or over a
+quadratic field when interval endpoints are irrational) then runs once,
+at the first order that is not PSD: its multipliers give a witness v
+with v^T H v < 0 by back-substitution.  Determinants past a Hamburger
+failure come from fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientData
-from .exact import format_rational
+from .exact import Surd, ensure_fraction, format_rational
 from .seqcore import Sequence, _values
 
 __all__ = [
@@ -150,12 +154,13 @@ def _chebyshev(vals, n: int):
     For the functional L[x^l] = vals[l] it builds the rows
     sigma_{k,l} = L[P_k x^l] of the monic orthogonal polynomials P_k
     (Gautschi, Orthogonal Polynomials, 2004, section 2.1.7) and returns
-    ``(norms, alphas)``: norms[k] = L[P_k^2] = delta_k / delta_{k-1} for
-    k = 0..n, and alphas[k] = s_k, the recurrence coefficient
-    L[x P_k^2] / L[P_k^2], for each k the data reach (2k+2 values).  Both
-    stop after the first zero norm, beyond which P_{k+1} does not exist.
-    Needs len(vals) >= 2n+1; only + - * / and comparisons are used, so
-    Fraction and Surd values both work.
+    ``(norms, alphas, row)``: norms[k] = L[P_k^2] = delta_k / delta_{k-1}
+    for k = 0..n, alphas[k] = s_k, the recurrence coefficient
+    L[x P_k^2] / L[P_k^2], for each k the data reach (2k+2 values), and
+    row = sigma_{r,l} for l < len(vals) - r at the last index
+    r = len(norms) - 1.  All three stop after the first zero norm, beyond
+    which P_{r+1} does not exist.  Needs len(vals) >= 2n+1; only + - * /
+    and comparisons are used, so Fraction and Surd values both work.
     """
     zero = Fraction(0)
     size = len(vals)
@@ -169,10 +174,12 @@ def _chebyshev(vals, n: int):
         alpha = row[k + 1] / norm - (prev[k] / norms[k - 1] if k else zero)
         beta = norm / norms[k - 1] if k else zero
         alphas.append(alpha)
+        if k == n:
+            break
         prev, row = row, [zero] * (k + 1) + [
             row[l + 1] - alpha * row[l] - beta * prev[l]
             for l in range(k + 1, size - k - 1)]
-    return norms, alphas
+    return norms, alphas, row
 
 
 @dataclass(frozen=True)
@@ -266,8 +273,9 @@ def _all_principal_minors_nonneg(rows):
     return True, None, None
 
 
-# Exhaustive minors get expensive past this size; elimination alone is
-# already a proof, so larger singular matrices skip the cross-check.
+# Exhaustive minors get expensive past this size, so larger singular
+# matrices skip the cross-check: for them the elimination (psd_status) or
+# the Chebyshev-row rule (classify) is the only proof.
 _MINOR_FALLBACK_LIMIT = 12
 
 
@@ -374,6 +382,20 @@ def _combination_sequence(vals, a, b, length: int):
                  for n in range(length))
 
 
+def _endpoints(interval):
+    """The endpoints (a, b) as exact scalars, coerced like sequence
+    entries: a Surd stays, anything else goes through ``ensure_fraction``."""
+    a, b = interval
+    out = []
+    for name, x in (("a", a), ("b", b)):
+        try:
+            out.append(x if isinstance(x, Surd) else ensure_fraction(x))
+        except TypeError:
+            raise TypeError(f"interval endpoint {name} = {x!r} is not an exact"
+                            f" rational or Surd ({type(x).__name__})") from None
+    return tuple(out)
+
+
 def hausdorff_combination(y, a, b, m: int) -> SymMatrix:
     """The matrix (a+b) H_m(Ey) - H_m(E^2 y) - ab H_m(y).
 
@@ -381,6 +403,7 @@ def hausdorff_combination(y, a, b, m: int) -> SymMatrix:
     s -/+ 2 sqrt(t) both a+b and ab come out as Fractions, so the matrix
     stays rational even when the endpoints are irrational.
     """
+    a, b = _endpoints((a, b))
     vals = _values(y)
     need = 2 * m + 3
     if len(vals) < need:
@@ -501,20 +524,47 @@ def _scan(vals, n: int):
     Returns ``(norms, statuses, order, verdict)``: the Chebyshev norms,
     one status per order checked, and the first order that is not PSD
     with its verdict (None, None when every order through n is PSD).
+    Needs len(vals) >= 2n+1.
+
     Orders with N_0..N_k > 0 are positive definite by Sylvester's
-    criterion; pivoted elimination runs only from the first other order.
+    criterion.  At the first other order r, N_r < 0 makes H_r indefinite;
+    N_r = 0 leaves H_k PSD and singular for k >= r exactly while
+    sigma_{r,l} = 0 for r <= l < 2k-r and sigma_{r,2k-r} >= 0, read off
+    the Chebyshev row.  Each of those orders with at most
+    _MINOR_FALLBACK_LIMIT rows is cross-checked by exhaustive principal
+    minors, and a disagreement raises RuntimeError.  ``psd_status`` runs
+    once, at the first order that is not PSD, for its witness.
     """
-    norms, _ = _chebyshev(vals, n)
-    pd = 0
-    while pd < len(norms) and norms[pd] > 0:
-        pd += 1
-    statuses = [PsdVerdict.POSITIVE_DEFINITE] * pd
-    for k in range(pd, n + 1):
-        verdict = psd_status(hankel_matrix(vals, k))
-        statuses.append(verdict.status)
-        if not verdict.is_psd:
-            return norms, statuses, k, verdict
-    return norms, statuses, None, None
+    norms, _, sigma = _chebyshev(vals, n)
+    r = 0
+    while r < len(norms) and norms[r] > 0:
+        r += 1
+    statuses = [PsdVerdict.POSITIVE_DEFINITE] * r
+    if r > n:
+        return norms, statuses, None, None
+    fail = r
+    if norms[r] == 0:
+        # H_r is PSD; H_{k+1} stays PSD while sigma_{r,2k-r} and
+        # sigma_{r,2k-r+1} vanish and sigma_{r,2k-r+2} >= 0
+        k = r
+        while (k < n and sigma[2 * k - r] == 0 and sigma[2 * k - r + 1] == 0
+               and sigma[2 * k - r + 2] >= 0):
+            k += 1
+        for j in range(r, min(k, _MINOR_FALLBACK_LIMIT - 1) + 1):
+            ok, subset, value = _all_principal_minors_nonneg(
+                [vals[i:i + j + 1] for i in range(j + 1)])
+            if not ok:
+                raise RuntimeError(f"internal disagreement at order {j}: "
+                                   f"minor {subset} = {value} negative")
+        statuses += [PsdVerdict.PSD_SINGULAR] * (k - r + 1)
+        if k == n:
+            return norms, statuses, None, None
+        fail = k + 1
+    verdict = psd_status(hankel_matrix(vals, fail))
+    if verdict.is_psd:
+        raise RuntimeError(f"internal disagreement: order {fail} is {verdict.status}")
+    statuses.append(verdict.status)
+    return norms, statuses, fail, verdict
 
 
 def classify(y, m: int, interval=None) -> MomentClassReport:
@@ -527,10 +577,17 @@ def classify(y, m: int, interval=None) -> MomentClassReport:
     every higher order.
 
     One Chebyshev recursion each on y, Ey and the interval combination
-    sequence decides every positive definite order; see ``_scan``.
+    sequence decides every order, and one elimination per family builds
+    the failure witness; see ``_scan``.  delta_k is the product of the
+    norms up to the first zero norm, 0 for every PSD order past it, and a
+    Bareiss determinant only for orders past a Hamburger failure.
+    Interval endpoints are coerced like sequence entries, so a float
+    endpoint raises TypeError.
     """
     if m < 0:
         raise ValueError("order must be >= 0")
+    if interval is not None:
+        interval = _endpoints(interval)
     vals = _values(y)
     if len(vals) < 2 * m + 1:
         raise InsufficientData(f"need {2 * m + 1} values for order {m}")
@@ -550,8 +607,10 @@ def classify(y, m: int, interval=None) -> MomentClassReport:
 
     stieltjes_ok = min(ham_ok, sh_ok)
 
-    # delta_k = N_0 ... N_k until the first vanishing norm
+    # delta_k = N_0 ... N_k until the first vanishing norm; every PSD
+    # order past it is singular
     deltas = list(itertools.accumulate(norms, operator.mul))
+    deltas += [Fraction(0)] * (ham_ok + 1 - len(deltas))
     deltas += [hankel_det(vals, k) for k in range(len(deltas), m + 1)]
 
     hs_interval = None

@@ -169,7 +169,7 @@ def recurrence_from_moments(y, n: int):
     if len(vals) < 2 * n:
         raise InsufficientData(f"need {2 * n} moments for depth {n}, have {len(vals)}")
 
-    norms, alphas = _chebyshev(vals[:2 * n], n - 1)
+    norms, alphas, _ = _chebyshev(vals[:2 * n], n - 1)
     if norms[-1] == 0:
         raise QuasiDefiniteFailure(len(norms) - 1)
     tau = tuple(norms[k] / norms[k - 1] for k in range(1, n))

@@ -16,8 +16,22 @@ from fractions import Fraction
 from functools import lru_cache
 import itertools
 import math
+import os
 
+from hypothesis import settings
 import pytest
+
+# HYPOTHESIS_PROFILE selects the profile; unset, every test keeps its own
+# example count.  "ci" also multiplies the count of each test that asks
+# ``examples`` (the classify reference tests) by 4.
+settings.register_profile("ci", deadline=None, print_blob=True)
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "default")
+settings.load_profile(PROFILE)
+
+
+def examples(n):
+    """n hypothesis examples locally, 4 n under the "ci" profile."""
+    return 4 * n if PROFILE == "ci" else n
 
 
 def naive_column0(sigma, tau, n_max):

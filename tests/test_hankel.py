@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import momentlab as ml
 from conftest import (
     cofactor_det,
+    examples,
     principal_minors_nonneg,
     reference_classify,
     reference_psd_status,
@@ -325,16 +326,26 @@ def test_positive_definite_catalog_cross_check():
 
 @st.composite
 def intervals(draw):
-    """No interval, a rational [a, b], or the conjugate s -/+ 2 sqrt(t)."""
-    kind = draw(st.sampled_from(["none", "rational", "conjugate"]))
+    """No interval, a rational [a, b], the conjugate s -/+ 2 sqrt(t), or
+    the one-sided [0, s + 2 sqrt(t)] with t not a square.
+
+    Conjugate endpoints give a rational combination sequence (a + b and
+    ab are rational); one-sided ones put it in Q(sqrt(t)).
+    """
+    kind = draw(st.sampled_from(["none", "rational", "conjugate", "one-sided"]))
     if kind == "none":
         return None
     if kind == "rational":
         a = draw(entries)
         return a, a + draw(positive)
     s = draw(st.integers(min_value=-2, max_value=6))
-    root = ml.sqrt_exact(draw(st.integers(min_value=1, max_value=6)))
-    return s - 2 * root, s + 2 * root
+    if kind == "conjugate":
+        root = ml.sqrt_exact(draw(st.integers(min_value=1, max_value=6)))
+        return s - 2 * root, s + 2 * root
+    # s + 2 sqrt(t) > 2 sqrt(2) - 2 > 0
+    root = ml.sqrt_exact(draw(st.sampled_from([2, 3, 5, 6, 7])))
+    assert isinstance(root, ml.Surd)
+    return Fraction(0), s + 2 * root
 
 
 def assert_matches_reference(y, m, interval):
@@ -357,7 +368,7 @@ def test_classify_matches_reference_on_catalog():
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=8),
        st.integers(min_value=0, max_value=2), intervals(), st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_classify_matches_reference_on_atomic_measures(rank, m, extra, interval, data):
     pairs = [(data.draw(positive), data.draw(entries)) for _ in range(rank)]
     assert_matches_reference(atomic_moments(pairs, 2 * m + 1 + extra), m, interval)
@@ -365,9 +376,144 @@ def test_classify_matches_reference_on_atomic_measures(rank, m, extra, interval,
 
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=2),
        intervals(), st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_classify_matches_reference_on_rational_prefixes(m, extra, interval, data):
     # extra < 2 caps the shifted and interval checks below m
     size = 2 * m + 1 + extra
     y = data.draw(st.lists(entries, min_size=size, max_size=size))
     assert_matches_reference(y, m, interval)
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2),
+       intervals(), st.data())
+@settings(max_examples=examples(60), deadline=None)
+def test_classify_matches_reference_on_perturbed_atomic_measures(rank, extra, interval, data):
+    # Moving moment 2 * rank turns N_rank negative (delta_rank is linear in
+    # it with coefficient delta_{rank-1} > 0) when moved down; moving a later
+    # moment keeps N_rank = 0 but makes some sigma_{rank,l} nonzero.
+    pairs = [(data.draw(positive), data.draw(entries)) for _ in range(rank)]
+    m = data.draw(st.integers(min_value=rank, max_value=8))
+    y = atomic_moments(pairs, 2 * m + 1 + extra)
+    index = data.draw(st.integers(min_value=2 * rank, max_value=len(y) - 1))
+    y[index] += Fraction(data.draw(st.sampled_from([-1, 1])),
+                         data.draw(st.integers(min_value=1, max_value=8)))
+    assert_matches_reference(y, m, interval)
+
+
+THREE_ATOMS = [(Fraction(1), Fraction(1, 3)), (Fraction(2, 3), Fraction(5, 2)),
+               (Fraction(3, 5), Fraction(7))]
+
+
+@pytest.mark.parametrize("moved, hamburger", [
+    (None, ("positive_definite",) * 3 + ("positive_semidefinite_singular",) * 28),
+    # sigma_{3,37} = 1/7 > 0: H_20 is still PSD, H_21 is not
+    ((40, Fraction(1, 7)),
+     ("positive_definite",) * 3 + ("positive_semidefinite_singular",) * 18 + ("indefinite",)),
+], ids=["exact", "sigma-nonzero"])
+def test_classify_decides_high_orders_from_the_chebyshev_row(moved, hamburger):
+    # orders 12..30 have more rows than the minor cross-check takes, so
+    # the Chebyshev row alone decides them
+    y = atomic_moments(THREE_ATOMS, 63)
+    if moved is not None:
+        y[moved[0]] += moved[1]
+    report = ml.classify(y, 30, interval=(Fraction(0), Fraction(8)))
+    assert report.hamburger_status == hamburger
+    assert report.to_json() == reference_classify(
+        y, 30, interval=(Fraction(0), Fraction(8))).to_json()
+
+
+def test_classify_row_rule_needs_every_sigma_before_the_last():
+    # delta_0 with y_24 moved by 1: sigma_{1,l} = y_{l+1}, so l0 = 23 and H_12
+    # is PSD (2k - r = 23), while H_13 has a zero diagonal entry beside
+    # sigma_{1,23} although sigma_{1,24} = sigma_{1,25} = 0
+    y = [Fraction(1)] + [Fraction(0)] * 28
+    y[24] = Fraction(1)
+    report = ml.classify(y, 14)
+    assert report.hamburger_status == (
+        ("positive_definite",) + ("positive_semidefinite_singular",) * 12 + ("indefinite",))
+    assert_matches_reference(y, 14, None)
+
+
+def test_classify_negative_norm_fails_at_the_rank():
+    # y_6 - 1/7 makes N_3 < 0: H_3 is indefinite with an exact witness
+    y = atomic_moments(THREE_ATOMS, 17)
+    y[6] -= Fraction(1, 7)
+    report = ml.classify(y, 8, interval=(Fraction(0), Fraction(8)))
+    assert report.hamburger_status == ("positive_definite",) * 3 + ("indefinite",)
+    fam, order, verdict = report.failure_witnesses[0]
+    assert (fam, order) == ("hamburger", 3)
+    assert ml.hankel_matrix(y, 3).quadratic_form(verdict.witness) < 0
+    assert_matches_reference(y, 8, (Fraction(0), Fraction(8)))
+
+
+def test_minor_cross_check_guards_the_row_rule(monkeypatch):
+    # every PSD-singular order up to 12 x 12 is cross-checked, none larger
+    # (H_k and the shifted H_k are both rank 1 here)
+    calls = []
+    minors = ml.hankel._all_principal_minors_nonneg
+    monkeypatch.setattr(ml.hankel, "_all_principal_minors_nonneg",
+                        lambda rows: calls.append(len(rows)) or minors(rows))
+    assert ml.classify([Fraction(2)] * 29, 14).passed
+    assert calls == list(range(2, 13)) * 2
+    calls.clear()
+
+    def disagree(rows):
+        calls.append(len(rows))
+        return False, (0,), Fraction(-1)
+
+    monkeypatch.setattr(ml.hankel, "_all_principal_minors_nonneg", disagree)
+    # rank 1: N_1 = 0, and the rule calls H_1 and H_2 PSD
+    with pytest.raises(RuntimeError, match="internal disagreement at order 1"):
+        ml.classify([Fraction(2)] * 5, 2)
+    assert calls == [2]
+    # catalan is positive definite at every order: the rule never runs
+    calls.clear()
+    _, cat = ml.catalog_sequence("catalan", 19)
+    assert ml.classify(cat, 8, interval=(Fraction(0), Fraction(4))).passed
+    assert calls == []
+    # the one elimination must confirm the order the rule calls not PSD:
+    # sigma_{1,5} = y_6 - y_5 = -1 < 0 fails H_3
+    monkeypatch.undo()
+    monkeypatch.setattr(ml.hankel, "psd_status",
+                        lambda M: ml.PsdVerdict(ml.PsdVerdict.PSD_SINGULAR))
+    with pytest.raises(RuntimeError, match="order 3 is positive_semidefinite"):
+        ml.classify([Fraction(2)] * 6 + [Fraction(1)], 3)
+
+
+def test_classify_eliminates_only_at_failures(monkeypatch):
+    # rank 1 with sigma_{1,5} = -1: H_1, H_2 PSD-singular, H_3 indefinite;
+    # the shifted family stays PSD through its last order, 2
+    calls = []
+    psd, det = ml.hankel.psd_status, ml.hankel.hankel_det
+
+    def psd_status(M):
+        calls.append(("psd_status", M.order))
+        return psd(M)
+
+    def hankel_det(y, k):
+        calls.append(("hankel_det", k))
+        return det(y, k)
+
+    monkeypatch.setattr(ml.hankel, "psd_status", psd_status)
+    monkeypatch.setattr(ml.hankel, "hankel_det", hankel_det)
+    y = [Fraction(2)] * 6 + [Fraction(1)]
+    report = ml.classify(y, 3)
+    assert calls == [("psd_status", 3), ("hankel_det", 3)]
+    assert report.delta_values[:3] == (2, 0, 0)
+    monkeypatch.undo()
+    assert_matches_reference(y, 3, None)
+
+
+@pytest.mark.parametrize("interval, endpoint", [
+    ((0.0, 4.5), "a = 0.0"),
+    ((0.1, 4.0), "a = 0.1"),
+    ((Fraction(0), 4.5), "b = 4.5"),
+    ((0, True), "b = True"),
+], ids=["floats", "inexact-float", "float-b", "bool"])
+def test_inexact_interval_endpoints_are_rejected(interval, endpoint):
+    _, cat = ml.catalog_sequence("catalan", 21)
+    with pytest.raises(TypeError, match=f"endpoint {endpoint}") as err:
+        ml.classify(cat, 5, interval=interval)
+    assert "1.69" not in str(err.value)
+    with pytest.raises(TypeError, match=f"endpoint {endpoint}"):
+        ml.hausdorff_combination(cat, *interval, 2)
