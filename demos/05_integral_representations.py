@@ -21,7 +21,8 @@ print("Densities on their intervals:")
 for name in density_names():
     dens = density_catalog(name)
     print(f"  {name:18s} on [{dens.a:+.6f}, {dens.b:+.6f}]  "
-          f"endpoint exponents ({dens.left_exponent:+.1f}, {dens.right_exponent:+.1f})")
+          f"endpoint exponents ({float(dens.left_exponent):+.1f}, "
+          f"{float(dens.right_exponent):+.1f})")
 
 print()
 print("Moment checks, one family at a time (n <= 12, relative 1e-7):")

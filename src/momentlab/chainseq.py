@@ -345,14 +345,18 @@ def _zero_beyond(p, s, q, t, r, n) -> bool:
     return q / t + n * ((s - p) / r + 2 - q / t) < 0
 
 
-def certify_support(spec: SigmaTauSpec, n_check: int = 200,
-                    zeros_order: int = 50) -> SupportReport:
+#: The degree n whose zeros certify_support locates: ``zeros_ok`` decides
+#: that the zeros of P_n lie in [a, b].
+_ZEROS_ORDER = 50
+
+
+def certify_support(spec: SigmaTauSpec, n_check: int = 200) -> SupportReport:
     """Certify [s - 2 sqrt(t), s + 2 sqrt(t)] for a shorthand spec.
 
     Runs the exact chain recursion at both endpoints for ``n_check``
     steps, closes the infinite tail with the constant-1/4 argument,
     verifies s_n stays strictly between the endpoints, and decides exactly
-    that the zeros of P_n, n = ``zeros_order``, lie in [a, b]: P_0 .. P_n
+    that the zeros of P_n, n = ``_ZEROS_ORDER``, lie in [a, b]: P_0 .. P_n
     is a Sturm sequence, so the sign changes of P_k(b) and (-1)^k P_k(a)
     count the zeros above b and below a; the constant tail gives both counts
     in closed form (``zeros_interval`` is for display).  When p = b, alpha_0
@@ -383,9 +387,9 @@ def certify_support(spec: SigmaTauSpec, n_check: int = 200,
     right_chain, right_tail = chain_side(b)
 
     root = sqrt_exact(t)
-    zeros_ok = not (_zero_beyond(p, s, q, t, root, zeros_order)
-                    or _zero_beyond(p, s, q, t, -root, zeros_order))
-    lo, hi = true_interval_estimate(spec, zeros_order)
+    zeros_ok = not (_zero_beyond(p, s, q, t, root, _ZEROS_ORDER)
+                    or _zero_beyond(p, s, q, t, -root, _ZEROS_ORDER))
+    lo, hi = true_interval_estimate(spec, _ZEROS_ORDER)
 
     return SupportReport(
         certificate=cert,

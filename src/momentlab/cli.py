@@ -22,9 +22,10 @@ Exit status: 0 on success; 1 when a check fails (a classification, support
 certification or verification, with the report still emitted; the support
 hypotheses, with the certificate emitted) or a --lincomb polynomial is
 negative on the interval; 2 on bad input: option errors, unreadable or
-malformed sequence files, an interval a,b without a < b, a tolerance that
-is not a finite number above 0, an n whose moments overflow a double, and
-any other library error.
+malformed sequence files, an interval a,b without a < b or given with
+--sub (it applies to --lincomb only), a tolerance that is not a finite
+number above 0, an n whose moments overflow a double, and any other
+library error.
 The environment variable MOMENTLAB_PRECISION overrides the default
 quadrature tolerance.
 """
@@ -249,6 +250,8 @@ def _cmd_transform(args, parser):
     from . import measures
     if (args.sub is None) == (args.lincomb is None):
         parser.error("choose exactly one of --sub or --lincomb")
+    if args.sub is not None and args.interval is not None:
+        parser.error("--interval applies to --lincomb only")
     if args.name is not None:
         _, seq = seqcore.catalog_sequence(args.name, args.n)
     elif args.input is not None:
@@ -261,6 +264,7 @@ def _cmd_transform(args, parser):
     if args.sub is not None:
         d, l = _parse_sub(args.sub)
         out = measures.subsequence_transform(seq, d, l)
+        spec = measures.TransformSpec(measures.TransformSpec.SUBSEQUENCE, d=d, offset=l)
     else:
         g = _parse_lincomb(args.lincomb)
         if args.interval is not None:
@@ -269,18 +273,16 @@ def _cmd_transform(args, parser):
             interval = (dens.a_exact, dens.b_exact)
         else:
             parser.error("--lincomb needs --interval when no catalog density exists")
-        out, tdens = measures.linear_combination_transform(seq, g, *interval, density=dens)
+        out, _ = measures.linear_combination_transform(seq, g, *interval)
+        spec = measures.TransformSpec(measures.TransformSpec.LINEAR_COMBINATION,
+                                      g=g, interval=interval)
     if not args.verify:
         return out, 0
 
     if dens is None:
         parser.error("--verify needs a catalog density input")
-    if args.sub is not None:  # built only here: x -> x^d may not apply to dens
-        tdens = measures.transformed_density(
-            dens, measures.TransformSpec(measures.TransformSpec.SUBSEQUENCE, d=d, offset=l))
     n_top = min(8 if args.check_n is None else args.check_n, len(out) - 1)
-    report = measures.verify_representation(out, tdens, n_top, args.tol,
-                                            label=f"{out.label} vs {tdens.label}")
+    report = measures.verify_transform_consistency(seq, spec, dens, n_top, args.tol)
     return report, 0 if report.passed else 1
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientData
-from .exact import Surd, ensure_fraction, format_rational
+from .exact import Surd, ensure_fraction
 from .seqcore import Sequence, _values
 
 __all__ = [
@@ -273,9 +273,9 @@ def _all_principal_minors_nonneg(rows):
     return True, None, None
 
 
-# Exhaustive minors get expensive past this size, so larger singular
-# matrices skip the cross-check: for them the elimination (psd_status) or
-# the Chebyshev-row rule (classify) is the only proof.
+# Exhaustive minors get expensive past this size, so classify cross-checks
+# the Chebyshev-row rule by them only on singular orders up to this many
+# rows; past it the rule is the only proof.
 _MINOR_FALLBACK_LIMIT = 12
 
 
@@ -307,9 +307,7 @@ def psd_status(M: SymMatrix) -> PsdVerdict:
     back-substitution through the same elimination's multipliers.  When
     the remaining Schur block is exactly zero, the elimination itself is
     the certificate: M = P L D L^T P^T with D = diag(pivots) >= 0, so M
-    is PSD, and singular when fewer pivots than rows were taken.  Up to
-    _MINOR_FALLBACK_LIMIT rows that verdict is also cross-checked by the
-    exhaustive principal-minor criterion.
+    is PSD, and singular when fewer pivots than rows were taken.
     """
     n = M.order + 1
     rows = [list(r) for r in M.rows]
@@ -349,13 +347,6 @@ def psd_status(M: SymMatrix) -> PsdVerdict:
     if len(chosen) == n:
         return PsdVerdict(PsdVerdict.POSITIVE_DEFINITE, pivots=tuple(pivots))
 
-    # boundary case: elimination says PSD with rank deficiency; confirm by
-    # principal minors while the size stays reasonable
-    if n <= _MINOR_FALLBACK_LIMIT:
-        ok, subset, value = _all_principal_minors_nonneg(M.rows)
-        if not ok:  # pragma: no cover - elimination already proves PSD
-            raise RuntimeError(
-                f"internal disagreement: minor {subset} = {value} negative")
     padded = tuple(pivots) + (Fraction(0),) * (n - len(chosen))
     return PsdVerdict(PsdVerdict.PSD_SINGULAR, pivots=padded)
 
@@ -475,7 +466,7 @@ class MomentClassReport:
             "hamburger_ok_up_to": self.hamburger_ok_up_to,
             "stieltjes_ok_up_to": self.stieltjes_ok_up_to,
             "stieltjes_checked_up_to": self.stieltjes_checked_up_to,
-            "delta_values": [format_rational(d) for d in self.delta_values],
+            "delta_values": [str(d) for d in self.delta_values],
             "hamburger_status": list(self.hamburger_status),
             "shifted_status": list(self.shifted_status),
             "failures": [

@@ -26,8 +26,9 @@ Two transforms act on moment sequences and densities together:
 * linear combinations  sum_j g_j y_{k+j} for a polynomial g >= 0 on the
   interval, with density g(x) w(x).
 
-Sequence-side arithmetic and the decision g >= 0 (a Sturm sign count at
-exact points) stay exact; only quadrature is floating point.
+Sequence-side arithmetic, every endpoint and exponent decision, and the
+decision g >= 0 (a Sturm sign count at exact points) stay exact; only
+quadrature is floating point.
 """
 
 from __future__ import annotations
@@ -74,19 +75,28 @@ __all__ = [
 class Density:
     """A weight function on [a, b] with declared endpoint exponents.
 
-    ``a_exact`` / ``b_exact`` carry Fraction or Surd endpoints when
-    available, so downstream interval logic can stay exact; ``a`` and
-    ``b`` are their binary64 images used by quadrature.
+    ``a_exact`` / ``b_exact`` are the Fraction or Surd endpoints, so every
+    endpoint decision stays exact; ``a`` and ``b`` are their binary64
+    images used by quadrature.  An endpoint left as None becomes the exact
+    value of its float, and the exponents are stored as Fractions (a float
+    converts exactly).
     """
 
     label: str
     a: float
     b: float
     weight: object
-    left_exponent: float
-    right_exponent: float
+    left_exponent: Fraction
+    right_exponent: Fraction
     a_exact: object = None
     b_exact: object = None
+
+    def __post_init__(self):
+        for name in ("left_exponent", "right_exponent"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        for name, value in (("a_exact", self.a), ("b_exact", self.b)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, Fraction(value))
 
     def __call__(self, x: float) -> float:
         return self.weight(x)
@@ -108,24 +118,24 @@ def _catalog() -> dict:
         "catalan": Density(
             "catalan", 0.0, 4.0,
             lambda x: _sqrt0((4.0 - x) / x) / (2.0 * math.pi) if x > 0 else 0.0,
-            -0.5, 0.5, a_exact=Fraction(0), b_exact=Fraction(4)),
+            -half, half, a_exact=Fraction(0), b_exact=Fraction(4)),
         "central_binomial": Density(
             "central_binomial", 0.0, 4.0,
             lambda x: 1.0 / (math.pi * _sqrt0(x * (4.0 - x))) if 0 < x < 4 else math.inf,
-            -0.5, -0.5, a_exact=Fraction(0), b_exact=Fraction(4)),
+            -half, -half, a_exact=Fraction(0), b_exact=Fraction(4)),
         "motzkin": Density(
             "motzkin", -1.0, 3.0,
             lambda x: _sqrt0((3.0 - x) * (1.0 + x)) / (2.0 * math.pi),
-            0.5, 0.5, a_exact=Fraction(-1), b_exact=Fraction(3)),
+            half, half, a_exact=Fraction(-1), b_exact=Fraction(3)),
         "central_trinomial": Density(
             "central_trinomial", -1.0, 3.0,
             lambda x: 1.0 / (math.pi * _sqrt0((3.0 - x) * (1.0 + x))) if -1 < x < 3 else math.inf,
-            -0.5, -0.5, a_exact=Fraction(-1), b_exact=Fraction(3)),
+            -half, -half, a_exact=Fraction(-1), b_exact=Fraction(3)),
         "delannoy": Density(
             "delannoy", 3.0 - 2.0 * _SQRT2, 3.0 + 2.0 * _SQRT2,
             lambda x: 1.0 / (math.pi * _sqrt0((3.0 + 2.0 * _SQRT2 - x) * (x - 3.0 + 2.0 * _SQRT2)))
             if 3.0 - 2.0 * _SQRT2 < x < 3.0 + 2.0 * _SQRT2 else math.inf,
-            -0.5, -0.5, a_exact=alpha, b_exact=beta),
+            -half, -half, a_exact=alpha, b_exact=beta),
     }
 
 
@@ -154,10 +164,10 @@ def density_plot_csv(dens: Density, npoints: int = 256) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_odd_half(e: float) -> bool:
+def _is_odd_half(e: Fraction) -> bool:
     """e in {-1/2, 1/2, 3/2, ...}: the exponents for which the cosine map
     turns (x - a)^e dx into an analytic periodic function of theta."""
-    return e > -1 and abs(e + 0.5 - round(e + 0.5)) < 1e-12
+    return e > -1 and (e + Fraction(1, 2)).denominator == 1
 
 
 #: The 10-point Gauss-Legendre rule on (-1, 1) as pairs (x, w), x > 0, of
@@ -561,45 +571,38 @@ def transformed_density_linear(dens: Density, coeffs) -> Density:
     def new_weight(x, _w=w, _f=fcoeffs):
         return _poly_eval(_f, x) * _w(x)
 
-    mult_a = _vanishing_order(coeffs, dens.a_exact) if dens.a_exact is not None else 0
-    mult_b = _vanishing_order(coeffs, dens.b_exact) if dens.b_exact is not None else 0
     return replace(
         dens,
         label=f"g*{dens.label}",
         weight=new_weight,
-        left_exponent=dens.left_exponent + mult_a,
-        right_exponent=dens.right_exponent + mult_b,
+        left_exponent=dens.left_exponent + _vanishing_order(coeffs, dens.a_exact),
+        right_exponent=dens.right_exponent + _vanishing_order(coeffs, dens.b_exact),
     )
 
 
 def translate_density(dens: Density, offset: int) -> Density:
-    """The density x^offset w(x); exponents shift only at a zero endpoint."""
+    """The density x^offset w(x): the linear transform with g = x^offset,
+    so an exponent shifts only at an endpoint that is exactly zero."""
     if offset == 0:
         return dens
     if offset < 0:
         raise ValueError("offset must be >= 0")
-    w = dens.weight
-
-    def new_weight(x, _w=w, _l=offset):
-        return _w(x) * x ** _l
-
-    left = dens.left_exponent + (offset if dens.a == 0.0 else 0)
-    right = dens.right_exponent + (offset if dens.b == 0.0 else 0)
-    return replace(dens, label=f"x^{offset}*{dens.label}", weight=new_weight,
-                   left_exponent=left, right_exponent=right)
+    moved = transformed_density_linear(dens, (0,) * offset + (1,))
+    return replace(moved, label=f"x^{offset}*{dens.label}")
 
 
 def pushforward_power(dens: Density, d: int) -> Density:
     """Pushforward of w(x) dx under x -> x^d, for intervals in [0, inf).
 
     The new weight on [a^d, b^d] is w(u^(1/d)) u^((1-d)/d) / d; a zero
-    left endpoint maps exponent e to (e+1)/d - 1.
+    left endpoint maps exponent e to (e+1)/d - 1.  Both decisions are made
+    on the exact endpoint, and the exact image comes from transform_support.
     """
     if d < 1:
         raise ValueError("need d >= 1")
     if d == 1:
         return dens
-    if dens.a < 0:
+    if dens.a_exact < 0:
         raise ValueError("pushforward under x^d needs an interval in [0, inf)")
     w = dens.weight
 
@@ -609,9 +612,8 @@ def pushforward_power(dens: Density, d: int) -> Density:
         x = u ** (1.0 / _d)
         return _w(x) * u ** ((1.0 - _d) / _d) / _d
 
-    left = (dens.left_exponent + 1) / d - 1 if dens.a == 0.0 else dens.left_exponent
-    a_exact = dens.a_exact ** d if dens.a_exact is not None else None
-    b_exact = dens.b_exact ** d if dens.b_exact is not None else None
+    left = (dens.left_exponent + 1) / d - 1 if dens.a_exact == 0 else dens.left_exponent
+    a_exact, b_exact = transform_support((dens.a_exact, dens.b_exact), d)
     return Density(
         label=f"{dens.label}^(x->x^{d})",
         a=dens.a ** d, b=dens.b ** d,

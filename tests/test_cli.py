@@ -292,6 +292,8 @@ def test_missing_input_file_exits_2(capsys):
     (("classify", "--m", "1", "--input"), b'{"values": "1125"}', None),
     (("transform", "--sub", "d=1", "--format", "text", "--input"),
      b'{"values": [1, 1, 2, 5], "label": ["x"]}', None),
+    # an interval only means something for --lincomb
+    (("transform", "--name", "catalan", "--sub", "d=2,l=0", "--interval", "0,4"), None, None),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, sequence_file, precision):
     if sequence_file is not None:
@@ -301,6 +303,14 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, sequence_file, prec
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr.strip().splitlines()[-1]
+
+
+def test_sub_with_interval_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--name", "catalan", "--sub", "d=2,l=0", "--interval", "0,4"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--interval applies to --lincomb only" in captured.err
 
 
 @pytest.mark.parametrize("lincomb", ["--lincomb=1@1000000", "--lincomb=-1@1000000"])

@@ -312,6 +312,14 @@ def test_classify_report_json():
     assert data["determinate"] is True
 
 
+def test_classify_report_json_renders_irrational_determinants():
+    # delta_2 = 30 sqrt(2) - 35 lies in Q(sqrt 2), not in Q
+    import json
+    report = ml.classify([1, ml.sqrt_exact(2), 3, 5, 17], 2)
+    data = json.loads(report.to_json())
+    assert data["delta_values"] == ["1", "1", "-35 + 30*sqrt(2)"]
+
+
 def test_positive_definite_catalog_cross_check():
     # every catalog family stays positive definite through order 8
     for name in ml.catalog_names():

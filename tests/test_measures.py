@@ -329,6 +329,41 @@ def test_translation_density():
         assert got == pytest.approx(float(cat[n + 2]), rel=1e-9)
 
 
+@pytest.mark.parametrize("name", ml.density_names())
+@pytest.mark.parametrize("offset", range(5))
+def test_translate_density_is_the_linear_transform_by_x_power(name, offset):
+    """x^l w(x) shifts an exponent by l exactly at a zero float endpoint, as
+    the float rule it replaced did, and its weight is w(x) x^l."""
+    dens = ml.density_catalog(name)
+    moved = ml.translate_density(dens, offset)
+    assert moved.left_exponent == dens.left_exponent + (offset if dens.a == 0.0 else 0)
+    assert moved.right_exponent == dens.right_exponent + (offset if dens.b == 0.0 else 0)
+    assert moved.label == (dens.label if offset == 0 else f"x^{offset}*{dens.label}")
+    for k in range(1, 64):
+        x = dens.a + (dens.b - dens.a) * k / 64
+        expected = dens.weight(x) * x ** offset
+        assert abs(moved.weight(x) - expected) <= 1e-15 * abs(expected)
+
+
+def test_pushforward_exponent_is_exact():
+    pf = ml.pushforward_power(ml.density_catalog("central_binomial"), 3)
+    assert pf.left_exponent == Fraction(-5, 6)
+    assert isinstance(pf.left_exponent, Fraction)
+    assert float(pf.left_exponent) == -0.8333333333333334
+    assert (pf.a_exact, pf.b_exact) == (0, 64)
+
+
+def test_user_density_gets_exact_endpoints_and_exponents():
+    dens = ml.Density("u", 0.0, 1.0, lambda x: x ** -0.75, -0.75, 0.0)
+    assert (dens.a_exact, dens.b_exact) == (0, 1)
+    assert isinstance(dens.a_exact, Fraction) and isinstance(dens.b_exact, Fraction)
+    assert dens.left_exponent == Fraction(-3, 4)
+    assert isinstance(dens.right_exponent, Fraction)
+    # the exact zero endpoint drives both transforms
+    assert ml.translate_density(dens, 2).left_exponent == Fraction(5, 4)
+    assert ml.pushforward_power(dens, 2).left_exponent == Fraction(-7, 8)
+
+
 def test_pushforward_power_catalan():
     dens = ml.density_catalog("catalan")
     pf = ml.pushforward_power(dens, 2)
