@@ -23,8 +23,9 @@ certification or verification, with the report still emitted; the support
 hypotheses, with the certificate emitted) or a --lincomb polynomial is
 negative on the interval; 2 on bad input: option errors, unreadable or
 malformed sequence files, an interval a,b without a < b or given with
---sub (it applies to --lincomb only), a tolerance that is not a finite
-number above 0, an n whose moments overflow a double, and any other
+--sub (it applies to --lincomb only), --s or --t without --interval,
+--check-n or --tol on transform without --verify, a tolerance that is not
+a finite number above 0, an n whose moments overflow a double, and any other
 library error.
 The environment variable MOMENTLAB_PRECISION overrides the default
 quadrature tolerance.
@@ -37,10 +38,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import seqcore
+from ._record import Record
 from .errors import GNegative, HypothesisFailure, MomentLabError
 from .exact import ensure_fraction, format_rational, sqrt_exact
 
@@ -122,6 +123,15 @@ def _parse_interval(text: str, s, t):
     return a, b
 
 
+def _interval_from_args(args, parser):
+    """The --interval bounds, or None; --s and --t only feed its sqrt tokens."""
+    if args.interval is None:
+        if args.s is not None or args.t is not None:
+            parser.error("--s and --t apply to --interval only")
+        return None
+    return _parse_interval(args.interval, args.s, args.t)
+
+
 def _spec_from_args(args, parser) -> seqcore.SigmaTauSpec:
     if args.name is not None:
         if args.name not in seqcore.CATALOG:
@@ -135,8 +145,7 @@ def _spec_from_args(args, parser) -> seqcore.SigmaTauSpec:
     return seqcore.make_spec(*quad)
 
 
-@dataclass(frozen=True)
-class _OpsReport:
+class _OpsReport(Record):
     """P_0 .. P_deg and, when zeros were asked for, the zeros of P_deg and
     their extreme interval (no zeros and no interval at degree 0)."""
 
@@ -189,9 +198,8 @@ def _cmd_gen(args, parser):
 
 def _cmd_classify(args, parser):
     from . import hankel
+    interval = _interval_from_args(args, parser)
     seq = _read_sequence(args.input, parser)
-    interval = None if args.interval is None else \
-        _parse_interval(args.interval, args.s, args.t)
     report = hankel.classify(seq, args.m, interval=interval)
     return report, 0 if report.passed else 1
 
@@ -214,9 +222,10 @@ def _cmd_verify(args, parser):
     if args.name not in measures.density_names():
         parser.error(f"no catalog density for {args.name!r}; "
                      f"choose from {', '.join(measures.density_names())}")
+    tol = _default_tol(parser) if args.tol is None else args.tol
     dens = measures.density_catalog(args.name)
     _, seq = seqcore.catalog_sequence(args.name, args.n)
-    report = measures.verify_representation(seq, dens, args.n, tol=args.tol)
+    report = measures.verify_representation(seq, dens, args.n, tol=tol)
     if args.plot_csv:
         _write(measures.density_plot_csv(dens), args.plot_csv)
     return report, 0 if report.passed else 1
@@ -252,6 +261,11 @@ def _cmd_transform(args, parser):
         parser.error("choose exactly one of --sub or --lincomb")
     if args.sub is not None and args.interval is not None:
         parser.error("--interval applies to --lincomb only")
+    if not args.verify and (args.check_n is not None or args.tol is not None):
+        parser.error("--check-n and --tol apply to --verify only")
+    # read even without --verify: a bad MOMENTLAB_PRECISION is bad input here too
+    tol = max(_default_tol(parser), 1e-6) if args.tol is None else args.tol
+    interval = _interval_from_args(args, parser)
     if args.name is not None:
         _, seq = seqcore.catalog_sequence(args.name, args.n)
     elif args.input is not None:
@@ -267,11 +281,9 @@ def _cmd_transform(args, parser):
         spec = measures.TransformSpec(measures.TransformSpec.SUBSEQUENCE, d=d, offset=l)
     else:
         g = _parse_lincomb(args.lincomb)
-        if args.interval is not None:
-            interval = _parse_interval(args.interval, args.s, args.t)
-        elif dens is not None:
+        if interval is None and dens is not None:
             interval = (dens.a_exact, dens.b_exact)
-        else:
+        elif interval is None:
             parser.error("--lincomb needs --interval when no catalog density exists")
         out, _ = measures.linear_combination_transform(seq, g, *interval)
         spec = measures.TransformSpec(measures.TransformSpec.LINEAR_COMBINATION,
@@ -282,7 +294,7 @@ def _cmd_transform(args, parser):
     if dens is None:
         parser.error("--verify needs a catalog density input")
     n_top = min(8 if args.check_n is None else args.check_n, len(out) - 1)
-    report = measures.verify_transform_consistency(seq, spec, dens, n_top, args.tol)
+    report = measures.verify_transform_consistency(seq, spec, dens, n_top, tol)
     return report, 0 if report.passed else 1
 
 
@@ -411,9 +423,6 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", None) is None and args.command in ("verify", "transform"):
-        args.tol = _default_tol(parser) if args.command == "verify" \
-            else max(_default_tol(parser), 1e-6)
     try:
         report, code = _HANDLERS[args.command](args, parser)
         _emit(report, args.format, args.output)

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .errors import GNegative, InsufficientData, NonIntegrable, TooShort, UnknownName
 from .exact import Surd, ensure_fraction, is_exact, sign_changes
 from .orthopoly import _pdivmod, _ptrim
@@ -71,8 +71,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Density:
+class Density(Record):
     """A weight function on [a, b] with declared endpoint exponents.
 
     ``a_exact`` / ``b_exact`` are the Fraction or Surd endpoints, so every
@@ -290,8 +289,7 @@ def moment_quadrature(dens: Density, n: int, tol: float = 1e-10) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class RepresentationReport:
+class RepresentationReport(Record):
     """Per-moment comparison between a sequence and quadrature values."""
 
     label: str
@@ -367,8 +365,7 @@ def verify_representation(y, dens: Density, n_max: int, tol: float = 1e-7,
 # -- transforms ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransformSpec:
+class TransformSpec(Record):
     """Either subsequence(d, offset) or linear_combination(g on [a, b])."""
 
     kind: str
@@ -414,8 +411,7 @@ def transform_support(interval, d: int):
     return (min(candidates), max(candidates))
 
 
-@dataclass(frozen=True)
-class PatternWitness:
+class PatternWitness(Record):
     """Rank-one counterexample for a non-affine index pattern.
 
     The atom delta_epsilon has moments epsilon^n; restricted to the three
@@ -429,8 +425,7 @@ class PatternWitness:
     determinant: Fraction
 
 
-@dataclass(frozen=True)
-class PatternVerdict:
+class PatternVerdict(Record):
     preserving: bool
     witness: PatternWitness = None
 
@@ -466,8 +461,7 @@ def pattern_is_stieltjes_preserving(indices) -> PatternVerdict:
     return PatternVerdict(True)
 
 
-@dataclass(frozen=True)
-class GVerdict:
+class GVerdict(Record):
     status: str
     violation_x: object = None
 
@@ -571,8 +565,7 @@ def transformed_density_linear(dens: Density, coeffs) -> Density:
     def new_weight(x, _w=w, _f=fcoeffs):
         return _poly_eval(_f, x) * _w(x)
 
-    return replace(
-        dens,
+    return dens.replace(
         label=f"g*{dens.label}",
         weight=new_weight,
         left_exponent=dens.left_exponent + _vanishing_order(coeffs, dens.a_exact),
@@ -588,7 +581,7 @@ def translate_density(dens: Density, offset: int) -> Density:
     if offset < 0:
         raise ValueError("offset must be >= 0")
     moved = transformed_density_linear(dens, (0,) * offset + (1,))
-    return replace(moved, label=f"x^{offset}*{dens.label}")
+    return moved.replace(label=f"x^{offset}*{dens.label}")
 
 
 def pushforward_power(dens: Density, d: int) -> Density:

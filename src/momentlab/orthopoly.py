@@ -21,9 +21,9 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import InsufficientData, NotPositiveCase, QuasiDefiniteFailure
 from .exact import ensure_fraction, format_rational
 from .seqcore import SigmaTauSpec, _values
@@ -69,8 +69,7 @@ def _pdivmod(num, den):
     return quot, _ptrim(rem[:len(den) - 1])
 
 
-@dataclass(frozen=True)
-class MonicPolynomial:
+class MonicPolynomial(Record):
     """Exact polynomial with leading coefficient 1, coefficients ascending."""
 
     coefficients: tuple

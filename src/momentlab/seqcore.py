@@ -21,9 +21,9 @@ Fractions either way.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import UnknownName, ZeroTau
 from .exact import Surd, ensure_fraction, format_rational
 
@@ -41,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SigmaTauSpec:
+class SigmaTauSpec(Record):
     """Eventually-constant (sigma, tau) coefficient data.
 
     ``sigma_prefix`` holds s_0 .. s_j and ``sigma_tail`` the constant value
@@ -132,8 +131,7 @@ def spec_from_prefixes(sigma_prefix, sigma_tail, tau_prefix, tau_tail,
                         tuple(tau_prefix), tau_tail, label=label)
 
 
-@dataclass(frozen=True)
-class RecursiveMatrix:
+class RecursiveMatrix(Record):
     """Lower-triangular slice r[n][k] for 0 <= k <= n <= n_max."""
 
     rows: tuple
@@ -155,8 +153,7 @@ class RecursiveMatrix:
         return tuple(row[0] for row in self.rows)
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(Record):
     """A finite exact prefix (y_0 .. y_N) with provenance metadata."""
 
     values: tuple
