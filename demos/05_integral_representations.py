@@ -1,9 +1,10 @@
 """Verify closed-form integral representations by quadrature.
 
 Five families have closed-form representing densities.  Endpoint
-singularities are algebraic (exponents -1/2 or +1/2), so a cosine
-substitution makes the integrand smooth and periodic, and the midpoint
-rule reproduces the exact integer sequences to near machine precision.
+singularities are algebraic (exponents -1/2 or +1/2), so the substitution
+x = end +/- u^2 on each half of the interval makes the integrand smooth,
+and adaptive Gauss-Legendre panels reproduce the exact integer sequences
+to near machine precision.
 
 Run:  python3 demos/05_integral_representations.py
 """

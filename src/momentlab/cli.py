@@ -23,10 +23,12 @@ certification or verification, with the report still emitted; the support
 hypotheses, with the certificate emitted) or a --lincomb polynomial is
 negative on the interval; 2 on bad input: option errors, unreadable or
 malformed sequence files, an interval a,b without a < b or given with
---sub (it applies to --lincomb only), --s or --t without --interval,
---check-n or --tol on transform without --verify, a tolerance that is not
-a finite number above 0, an n whose moments overflow a double, and any other
-library error.
+--sub (it applies to --lincomb only), a --lincomb interval that does not
+contain the catalog density's support, --s or --t without --interval,
+--name together with --input on transform, --check-n or --tol on transform
+without --verify, a tolerance that is not a finite number above 0, an n
+whose moments overflow a double, a --sub d whose pushforward has b^d or
+too much mass outside the doubles, and any other library error.
 The environment variable MOMENTLAB_PRECISION overrides the default
 quadrature tolerance.
 """
@@ -197,9 +199,9 @@ def _cmd_gen(args, parser):
 
 
 def _cmd_classify(args, parser):
-    from . import hankel
     interval = _interval_from_args(args, parser)
     seq = _read_sequence(args.input, parser)
+    from . import hankel  # after the input checks: bad input exits 2 without it
     report = hankel.classify(seq, args.m, interval=interval)
     return report, 0 if report.passed else 1
 
@@ -266,12 +268,12 @@ def _cmd_transform(args, parser):
     # read even without --verify: a bad MOMENTLAB_PRECISION is bad input here too
     tol = max(_default_tol(parser), 1e-6) if args.tol is None else args.tol
     interval = _interval_from_args(args, parser)
+    if (args.name is None) == (args.input is None):
+        parser.error("transform needs exactly one of --name or --input")
     if args.name is not None:
         _, seq = seqcore.catalog_sequence(args.name, args.n)
-    elif args.input is not None:
-        seq = _read_sequence(args.input, parser)
     else:
-        parser.error("transform needs --name or --input")
+        seq = _read_sequence(args.input, parser)
     dens = measures.density_catalog(args.name) \
         if args.name in measures.density_names() else None
 
@@ -285,7 +287,7 @@ def _cmd_transform(args, parser):
             interval = (dens.a_exact, dens.b_exact)
         elif interval is None:
             parser.error("--lincomb needs --interval when no catalog density exists")
-        out, _ = measures.linear_combination_transform(seq, g, *interval)
+        out, _ = measures.linear_combination_transform(seq, g, *interval, density=dens)
         spec = measures.TransformSpec(measures.TransformSpec.LINEAR_COMBINATION,
                                       g=g, interval=interval)
     if not args.verify:

@@ -8,16 +8,15 @@ Five classical families come with closed-form representing densities:
 * central_trinomial  1/(pi sqrt((3-x)(1+x)))           on [-1, 3]
 * delannoy           arcsine density on [3-2sqrt(2), 3+2sqrt(2)]
 
-Each density records its endpoint exponents (w(x) ~ C (x-a)^e near a).
-Moments are integrated after a substitution chosen from the exponents.
-When both lie in {-1/2, 1/2, 3/2, ...} (every catalog density and its
-polynomial re-weightings), the cosine map x = c - h cos(theta) turns the
-integrand into an analytic even periodic function of theta, for which
-the midpoint rule converges exponentially (Trefethen & Weideman, SIAM
-Review 56, 2014).  Any other exponents go through a power map
-x = a + u^(1/(1+e)) that removes each endpoint singularity, and adaptive
-10-point Gauss-Legendre panels, whose nodes stay inside the panel as in
-QUADPACK (Piessens et al., 1983): an infinite endpoint weight is never hit.
+Each density records its endpoint exponents (w(x) ~ C (x-a)^e near a) as
+exact Fractions, and every moment is integrated one way: [a, b] is split
+at its midpoint, and on each half the substitution x = end +/- u^k, with
+k the denominator of that end's exponent, removes the endpoint power
+(x - end)^e before adaptive 10-point Gauss-Legendre panels integrate in
+u; a factor that stays non-analytic in u is left to their refinement.
+The nodes stay inside each panel as in QUADPACK (Piessens et al., 1983),
+so an infinite endpoint weight is never hit.  An exponent with a huge
+denominator, such as a float 1/3, raises ValueError: give it exactly.
 
 Two transforms act on moment sequences and densities together:
 
@@ -163,12 +162,6 @@ def density_plot_csv(dens: Density, npoints: int = 256) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_odd_half(e: Fraction) -> bool:
-    """e in {-1/2, 1/2, 3/2, ...}: the exponents for which the cosine map
-    turns (x - a)^e dx into an analytic periodic function of theta."""
-    return e > -1 and (e + Fraction(1, 2)).denominator == 1
-
-
 #: The 10-point Gauss-Legendre rule on (-1, 1) as pairs (x, w), x > 0, of
 #: the symmetric rule: 50-digit Newton iterates on P_10, rounded.
 _GAUSS = (
@@ -216,38 +209,26 @@ def quad(f, a: float, b: float, epsabs: float) -> float:
         panels += [panel(lo, mid, left), panel(mid, hi, right)]
 
 
-#: The midpoint rule stops tripling its node count here.
-_MAX_NODES = 8 * 3 ** 7
-
-
-def _midpoint_rule(g, tol: float) -> float | None:
-    """Integral of g over (0, pi) by the midpoint rule with 8, 24, 72, ...
-    nodes; tripling keeps the old nodes.  Returns the first estimate that
-    differs from the one before by at most max(tol, 1e-11 |estimate|), or
-    None when the node count reaches _MAX_NODES first.  The nodes are
-    interior, so g is never evaluated at 0 or pi."""
-    n = 8
-    total = math.fsum(g((j + 0.5) * math.pi / n) for j in range(n))
-    estimate = total * math.pi / n
-    while n < _MAX_NODES:
-        n *= 3
-        total += math.fsum(g((j + 0.5) * math.pi / n) for j in range(n) if j % 3 != 1)
-        previous, estimate = estimate, total * math.pi / n
-        if abs(estimate - previous) <= max(tol, 1e-11 * abs(estimate)):
-            return estimate
-    return None
+#: The largest exponent denominator moment_quadrature substitutes for:
+#: 2d for the x^d pushforward of a catalog density, so d up to 2^15.  A
+#: float that is not a short dyadic fraction, such as 1/3, converts to a
+#: denominator near 2^54.
+_MAX_DENOMINATOR = 2 ** 16
+_TINY = 2.0 ** -1000  # the least x > 0 a weight is evaluated at
 
 
 def moment_quadrature(dens: Density, n: int, tol: float = 1e-10) -> float:
     """The n-th moment of the density, to roughly absolute accuracy tol.
 
-    Exponents in {-1/2, 1/2, 3/2, ...} (every catalog density and their
-    polynomial transforms) go through the cosine substitution and the
-    midpoint rule.  Anything else, and any case where the midpoint rule
-    reaches its node cap unconverged (a transform whose mapped integrand
-    is not analytic, such as the x^3 pushforward of x w), splits at the
-    midpoint of [a, b] and removes each endpoint singularity with the
-    matching power map before the adaptive Gauss-Legendre rule ``quad``.
+    [a, b] is split at its midpoint, and each half is integrated by the
+    adaptive Gauss-Legendre rule ``quad`` after the substitution
+    x = end +/- u^k, where k is the denominator of the exact exponent e at
+    that end: a factor (x - end)^(P/Q) dx becomes Q u^(P+Q-1) du; a factor
+    of the weight that stays non-analytic in u is left to the refinement.
+    A denominator above _MAX_DENOMINATOR (a float 1/3) raises ValueError:
+    give it as an exact Fraction.  So does, at a zero end, too much mass
+    below _TINY (the x^100 pushforward of catalan), where the integral is
+    extrapolated from the leading power of u.
     """
     if n < 0:
         raise ValueError("moment order must be >= 0")
@@ -256,36 +237,33 @@ def moment_quadrature(dens: Density, n: int, tol: float = 1e-10) -> float:
     ea, eb = dens.left_exponent, dens.right_exponent
     if ea <= -1 or eb <= -1:
         raise NonIntegrable(f"exponents ({ea}, {eb}) are not integrable")
+    for e in (ea, eb):
+        if e.denominator > _MAX_DENOMINATOR:
+            raise ValueError(f"endpoint exponent {float(e)!r} has denominator "
+                             f"{e.denominator}; give it as an exact Fraction")
     a, b = dens.a, dens.b
-    w = dens.weight
-
-    def f(x):
-        return w(x) * x ** n
-
-    if _is_odd_half(ea) and _is_odd_half(eb):
-        c = 0.5 * (a + b)
-        h = 0.5 * (b - a)
-        estimate = _midpoint_rule(
-            lambda theta: f(c - h * math.cos(theta)) * h * math.sin(theta), tol)
-        if estimate is not None:
-            return estimate
-
     mid = 0.5 * (a + b)
+    w = dens.weight
     total = 0.0
-    # the pieces on [a, mid] and [mid, b]; the power map u -> end +/- u^p
-    # removes a singular endpoint
     for end, e, sign in ((a, ea, 1.0), (b, eb, -1.0)):
-        if e < 0:
-            p = 1.0 / (1.0 + e)
-            top = abs(mid - end) ** (1.0 / p)
+        k = e.denominator
 
-            def g(u):
-                return f(end + sign * u ** p) * p * u ** (p - 1.0)
+        def g(u):
+            x = end + sign * u ** k
+            return w(x) * x ** n * k * u ** (k - 1)
 
-            total += quad(g, 0.0, top, tol / 2)
-        else:
-            lo, hi = (end, mid) if sign > 0 else (mid, end)
-            total += quad(f, lo, hi, tol / 2)
+        # at a zero end x = u^k drops below _TINY for u < lo (lo = 0.013 for
+        # k = 160), where g(u) ~ u^(m-1) (c + c' u^j): extrapolating c from lo
+        # errs by at most 1/(m+1) of the change when extrapolating from 2 lo
+        lo, top = _TINY ** (1.0 / k) if end == 0.0 else 0.0, abs(mid - end) ** (1.0 / k)
+        total += quad(g, lo, top, tol / 2)
+        if lo:
+            m, hi = e.numerator + k * (n + 1), min(2 * lo, top)
+            tail = g(lo) * lo / m
+            if abs(tail - g(hi) * (lo / hi) ** (m - 1) * lo / m) > (m + 1) * tol:
+                raise ValueError(f"{dens.label} has too much mass below x = 2^-1000 "
+                                 f"for doubles to give moment {n} to {tol:g}")
+            total += tail
     return total
 
 
@@ -537,15 +515,18 @@ def linear_combination_transform(y, g, a, b, density: Density = None):
 
     Requires a sequence longer than deg g (InsufficientData otherwise,
     checked first) and g >= 0 on [a, b] (GNegative otherwise).  When a
-    density for y is supplied the returned pair carries the transformed
-    density on the same interval, with endpoint exponents raised by the
-    vanishing order of g there.
+    density for y is supplied, [a, b] must contain its support (ValueError
+    otherwise), and the returned pair carries the transformed density on
+    the same interval, with endpoint exponents raised by the vanishing
+    order of g there.
     """
     coeffs = _ptrim(ensure_fraction(c) for c in g) or (Fraction(0),)
     vals = y.values if isinstance(y, Sequence) else tuple(y)
     deg = len(coeffs) - 1
     if len(vals) <= deg:
         raise InsufficientData("sequence shorter than the polynomial degree")
+    if density is not None:
+        _lincomb_interval(density, (a, b))
     _require_nonneg(coeffs, a, b)
     out = tuple(
         sum((c * vals[k + j] for j, c in enumerate(coeffs)), Fraction(0))
@@ -590,6 +571,8 @@ def pushforward_power(dens: Density, d: int) -> Density:
     The new weight on [a^d, b^d] is w(u^(1/d)) u^((1-d)/d) / d; a zero
     left endpoint maps exponent e to (e+1)/d - 1.  Both decisions are made
     on the exact endpoint, and the exact image comes from transform_support.
+    A d for which b^d is not a finite double raises ValueError; the weight
+    is inf where u^((1-d)/d) is.
     """
     if d < 1:
         raise ValueError("need d >= 1")
@@ -600,16 +583,22 @@ def pushforward_power(dens: Density, d: int) -> Density:
     w = dens.weight
 
     def new_weight(u, _w=w, _d=d):
-        if u <= 0.0:
+        try:  # a float ** float beyond the doubles raises, never gives inf
+            factor = u ** ((1.0 - _d) / _d) / _d
+        except (OverflowError, ZeroDivisionError):
             return math.inf
-        x = u ** (1.0 / _d)
-        return _w(x) * u ** ((1.0 - _d) / _d) / _d
+        return _w(u ** (1.0 / _d)) * factor
 
     left = (dens.left_exponent + 1) / d - 1 if dens.a_exact == 0 else dens.left_exponent
     a_exact, b_exact = transform_support((dens.a_exact, dens.b_exact), d)
+    try:  # float ** int raises OverflowError, never gives inf
+        a, b = dens.a ** d, dens.b ** d
+    except OverflowError:
+        raise ValueError(f"d = {d} is too large: b^{d} = {dens.b!r}^{d} "
+                         f"is not a finite double") from None
     return Density(
         label=f"{dens.label}^(x->x^{d})",
-        a=dens.a ** d, b=dens.b ** d,
+        a=a, b=b,
         weight=new_weight,
         left_exponent=left,
         right_exponent=dens.right_exponent,
@@ -617,9 +606,17 @@ def pushforward_power(dens: Density, d: int) -> Density:
     )
 
 
-def _lincomb_interval(dens: Density, transform: TransformSpec):
-    """The transform's own interval, else the density's exact endpoints."""
-    return transform.interval or (dens.a_exact, dens.b_exact)
+def _lincomb_interval(dens: Density, interval):
+    """The interval g >= 0 is decided on: the given one, which must contain
+    the density's support (compared exactly), else the density's exact
+    endpoints.  On a narrower interval g w could be a signed measure."""
+    if interval is None:
+        return dens.a_exact, dens.b_exact
+    a, b = interval
+    if not (a <= dens.a_exact and dens.b_exact <= b):
+        raise ValueError(f"interval [{a}, {b}] does not contain the support "
+                         f"[{dens.a_exact}, {dens.b_exact}] of {dens.label}")
+    return a, b
 
 
 def _require_nonneg(g, a, b):
@@ -633,7 +630,7 @@ def transformed_density(dens: Density, transform: TransformSpec) -> Density:
     if transform.kind == TransformSpec.SUBSEQUENCE:
         out = translate_density(dens, transform.offset)
         return pushforward_power(out, transform.d)
-    _require_nonneg(transform.g, *_lincomb_interval(dens, transform))
+    _require_nonneg(transform.g, *_lincomb_interval(dens, transform.interval))
     return transformed_density_linear(dens, transform.g)
 
 
@@ -644,8 +641,8 @@ def verify_transform_consistency(y, transform: TransformSpec, dens: Density,
         seq = subsequence_transform(y, transform.d, transform.offset)
         tdens = transformed_density(dens, transform)
     else:
-        seq, tdens = linear_combination_transform(
-            y, transform.g, *_lincomb_interval(dens, transform), density=dens)
+        seq, tdens = linear_combination_transform(  # which checks the interval
+            y, transform.g, *(transform.interval or (dens.a_exact, dens.b_exact)), density=dens)
     if len(seq) < n_max + 1:
         raise InsufficientData(
             f"transformed sequence has {len(seq)} terms, need {n_max + 1}")

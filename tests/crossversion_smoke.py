@@ -6,7 +6,8 @@ Runs every argv of ``tests/cli_golden.json`` through ``momentlab.cli.main``
 and compares exit code and stdout with the recorded ones, then starts one
 process per subcommand and checks which of ``dataclasses`` and ``inspect``
 it loads: only ``classify`` and ``support`` may, because the hankel and
-chainseq records stay dataclasses.  Prints each mismatch and exits 1 if
+chainseq records stay dataclasses, and ``classify`` not on a malformed
+sequence file.  Prints each mismatch and exits 1 if
 there is one.  pytest runs the same checks as ``test_cli_matches_golden``
 and ``test_each_subcommand_loads_only_its_layers``.
 """
@@ -46,6 +47,8 @@ PROBES = [
     (("verify", "--name", "motzkin", "--n", "8"), 0, []),
     (("transform", "--name", "delannoy", "--lincomb=0,1", "--verify"), 0, []),
     (("transform", "--name", "catalan", "--sub", "d=2,l=0", "--verify"), 0, []),
+    # a malformed sequence file exits 2 before classify imports hankel
+    (("classify", "--m", "1", "--input", "bad.json"), 2, []),
 ]
 
 
@@ -71,6 +74,7 @@ def golden_mismatches(workdir):
 def probe_mismatches(workdir):
     (workdir / "seq.json").write_text('{"values": ["1", "1", "2", "5", "14", "42", "132", '
                                       '"429", "1430", "4862"]}')
+    (workdir / "bad.json").write_text("[1, 2")
     env = {k: v for k, v in os.environ.items() if k != "MOMENTLAB_PRECISION"}
     env["PYTHONPATH"] = str(SRC)
     for argv, code, loaded in PROBES:

@@ -221,9 +221,9 @@ def test_transform_verify(capsys):
 
 @pytest.mark.parametrize("name", ["catalan", "central_binomial"])
 def test_transform_verify_pushforward_at_tight_tol(capsys, name):
-    # the x^3 pushforward of x w has a left exponent of -1/2, but its
-    # cosine-mapped integrand is not analytic: the midpoint rule reaches
-    # its node cap and the power map has to take over
+    # the x^3 pushforward of x w has a left exponent of -1/2; the map
+    # x = u^2 leaves the x^(1/3) of the pushforward weight non-analytic
+    # in u, so the adaptive rule has to refine toward 0
     code, out, _ = run(capsys, "transform", "--name", name, "--sub", "d=3,l=1",
                        "--verify", "--tol", "1e-9")
     assert code == 0
@@ -302,6 +302,18 @@ def test_missing_input_file_exits_2(capsys):
     (("transform", "--name", "catalan", "--sub", "d=2", "--n", "4", "--check-n", "3",
       "--tol", "1e-3"), None, None),
     (("classify", "--m", "2", "--s", "3", "--t", "2", "--input"), b"[1, 1, 2, 5, 14]", None),
+    # an interval narrower than the density's support: g w would be signed
+    (("transform", "--name", "catalan", "--lincomb=-2,1", "--interval", "3,4", "--verify"),
+     None, None),
+    (("transform", "--name", "catalan", "--lincomb=-2,1", "--interval", "3,4"), None, None),
+    (("transform", "--name", "delannoy", "--lincomb=1", "--interval", "1/5,6"), None, None),
+    # x^d pushforwards doubles cannot hold: at d = 100 too much of the mass
+    # lies below x = 2^-1000, and 4^600 overflows
+    (("transform", "--name", "catalan", "--sub", "d=100", "--verify"), None, None),
+    (("transform", "--name", "catalan", "--sub", "d=600", "--n", "600", "--verify"),
+     None, None),
+    # --name and --input both name the sequence
+    (("transform", "--name", "catalan", "--sub", "d=2", "--input"), b"[1, 1, 2, 5]", None),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, sequence_file, precision):
     if sequence_file is not None:
@@ -423,25 +435,24 @@ print(code, bool(calls), [name for name in ("numpy", "scipy") if sys.modules[nam
 """
 
 
-@pytest.mark.parametrize("argv,power_map", [
+@pytest.mark.parametrize("argv,integrates", [
     ((), False),
     (("gen", "--name", "delannoy", "--n", "30"), False),
     (("classify", "--m", "4", "--input", "seq.json", "--interval", "0,4"), False),
-    (("verify", "--name", "motzkin", "--n", "8"), False),
+    (("verify", "--name", "motzkin", "--n", "8"), True),
     (("ops", "--name", "catalan", "--deg", "5", "--zeros"), False),
     (("support", "--p", "3", "--s", "3", "--q", "4", "--t", "2", "--check", "200"), False),
-    (("transform", "--name", "delannoy", "--lincomb=0,1", "--verify"), False),
-    # the x^2 pushforward has a -3/4 endpoint exponent: the power map
+    (("transform", "--name", "delannoy", "--lincomb=0,1", "--verify"), True),
     (("transform", "--name", "catalan", "--sub", "d=2,l=0", "--verify"), True),
 ])
-def test_numpy_scipy_load_only_where_needed(tmp_path, argv, power_map):
-    """Every subcommand runs with numpy and scipy unimportable, the power-map
-    quadrature included."""
+def test_numpy_scipy_load_only_where_needed(tmp_path, argv, integrates):
+    """Every subcommand runs with numpy and scipy unimportable; verify and
+    transform --verify integrate every moment with the stdlib rule quad."""
     _, cat = ml.catalog_sequence("catalan", 12)
     (tmp_path / "seq.json").write_text(cat.to_json())
     proc = run_process(("-c", _BLOCKED, *argv), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"0 {power_map} []"
+    assert proc.stdout.splitlines()[-1] == f"0 {integrates} []"
 
 
 _MOMENTLAB_LOADED = _LOADED + """
@@ -467,10 +478,13 @@ _CLI_BASE = ("momentlab", "momentlab._record", "momentlab.cli", "momentlab.error
     (("transform", "--name", "catalan", "--sub", "d=2,l=0"), 0, ("measures", "orthopoly")),
     (("transform", "--name", "catalan", "--sub", "d=2,l=0", "--verify"), 0,
      ("measures", "orthopoly")),
+    # a malformed sequence file exits 2 before classify imports hankel
+    (("classify", "--m", "1", "--input", "bad.json"), 2, ()),
 ])
 def test_each_subcommand_loads_only_its_layers(tmp_path, argv, code, layers):
     _, cat = ml.catalog_sequence("catalan", 12)
     (tmp_path / "seq.json").write_text(cat.to_json())
+    (tmp_path / "bad.json").write_text("[1, 2")
     proc = run_process(("-c", _MOMENTLAB_LOADED, *argv), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     *_, status, loaded = proc.stdout.splitlines()

@@ -67,10 +67,10 @@ def _random_nonneg_g(rng, dens):
 
 def test_moments_match_exact_targets():
     """Quadrature reproduces exact moments to 1e-12 (relative, absolute below
-    1), as closely as the scipy reference: the five densities at n <= 20
-    and seeded transforms g(x) w(x); a density with integer exponents goes
-    through the power-map branch.  Two more power-map densities, exponent
-    -3/4 at 0 and -1/2 at 1, are checked against their exact moments only."""
+    1), as closely as the scipy reference: the five densities at n <= 20,
+    seeded transforms g(x) w(x) and a density with integer exponents.  Two
+    more densities, exponent -3/4 at 0 and -1/2 at 1, are checked against
+    their exact moments only."""
     rng = random.Random(12)
     cases = []
     for name in ml.density_names():
@@ -89,16 +89,65 @@ def test_moments_match_exact_targets():
         for n, target, computed, _, _ in report.rows[::4]:
             reference = reference_moment_quadrature(dens, n, 1e-13)
             assert abs(computed - reference) <= 1e-12 * max(1.0, abs(target))
-    power_map = [
+    exact_only = [
         (ml.Density("x^(-3/4)", 0.0, 1.0, lambda x: x ** -0.75, -0.75, 0.0),
          [Fraction(4, 4 * n + 1) for n in range(9)]),
         (ml.Density("(1-x)^(-1/2)", 0.0, 1.0, lambda x: (1.0 - x) ** -0.5, 0.0, -0.5),
          [Fraction(math.factorial(n) * 2 ** (n + 1), math.prod(range(1, 2 * n + 2, 2)))
           for n in range(9)]),
     ]
-    for dens, targets in power_map:
+    for dens, targets in exact_only:
         report = ml.verify_representation(targets, dens, len(targets) - 1, tol=1e-7)
         assert report.max_rel_error <= 1e-12, dens.label
+
+
+def _beta(e, f):
+    """x^e (1 - x)^f on [0, 1] with exact exponents, and its moments
+    B(n + e + 1, f + 1) from math.gamma."""
+    fe, ff = float(e), float(f)
+    dens = ml.Density(f"beta({e}, {f})", 0.0, 1.0,
+                      lambda x: x ** fe * (1.0 - x) ** ff, e, f)
+
+    def moment(n):
+        return math.gamma(n + fe + 1) * math.gamma(ff + 1) / math.gamma(n + fe + ff + 2)
+
+    return dens, moment
+
+
+#: every P/Q in (-1, 2] with Q <= 8
+_EIGHTHS = sorted({Fraction(p, q) for q in range(1, 9) for p in range(1 - q, 2 * q + 1)})
+
+
+def test_beta_weights_match_gamma_moments():
+    """x^e (1-x)^f for every exponent P/Q in (-1, 2] with Q <= 8 at the zero
+    end, and every one >= 0, or -1/2, at 1: with x = end -/+ u^Q on each
+    half, the moments match to 1e-12 (relative, absolute below 1)."""
+    ends = [f for f in _EIGHTHS if f >= 0] + [Fraction(-1, 2)]
+    for e in _EIGHTHS:
+        for f in ends:
+            dens, moment = _beta(e, f)
+            for n in (0, 4, 9):
+                got = ml.moment_quadrature(dens, n, 1e-13)
+                assert abs(got - moment(n)) <= 1e-12 * max(1.0, moment(n)), (e, f, n)
+
+
+@pytest.mark.parametrize("f", [Fraction(-3, 4), Fraction(-7, 8)])
+@pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
+                   reason="x = 1 - u^Q rounds to 1 at a node: a weight of x alone "
+                          "cannot resolve (1 - x)^f within an ulp of 1")
+def test_beta_negative_exponent_at_nonzero_end(f):
+    dens, moment = _beta(Fraction(0), f)
+    assert ml.moment_quadrature(dens, 0, 1e-13) == pytest.approx(moment(0), abs=1e-12)
+
+
+def test_float_exponent_needs_an_exact_fraction():
+    """A float 1/3 or -0.3 has a denominator near 2^54: no substitution."""
+    for e in (1 / 3, -0.3):
+        dens = ml.Density("float", 0.0, 1.0, lambda x: x ** e, e, 0)
+        with pytest.raises(ValueError, match="exact Fraction"):
+            ml.moment_quadrature(dens, 2)
+    dens = ml.Density("exact", 0.0, 1.0, lambda x: x ** (1 / 3), Fraction(1, 3), 0)
+    assert ml.moment_quadrature(dens, 2, 1e-13) == pytest.approx(3 / 10, abs=1e-13)
 
 
 def test_gauss_legendre_rule():
@@ -381,6 +430,39 @@ def test_pushforward_rejects_negative_interval():
         ml.pushforward_power(ml.density_catalog("motzkin"), 2)
 
 
+def test_pushforward_beyond_doubles_raises_value_error():
+    # 4^600 overflows at construction; at d = 100 about 2 % of the mass lies
+    # below x = 2^-1000, too much to extrapolate to 1e-6
+    dens = ml.density_catalog("catalan")
+    with pytest.raises(ValueError, match="d = 600 is too large"):
+        ml.pushforward_power(dens, 600)
+    pushed = ml.pushforward_power(dens, 100)
+    with pytest.raises(ValueError, match="too much mass below x = 2\\^-1000"):
+        ml.moment_quadrature(pushed, 0, 1e-6)
+    assert pushed.weight(0.0) == pushed.weight(5e-324) == math.inf
+
+
+@pytest.mark.parametrize("name", ["catalan", "central_binomial"])
+@pytest.mark.parametrize("d,offset", [(80, 1), (80, 3), (90, 1), (90, 3)])
+def test_pushforward_with_mass_below_the_doubles(name, d, offset):
+    """The x^d pushforward of x^l w at d = 80, 90: x = u^(2d) drops below
+    2^-1000 for u < 0.013, and the extrapolated piece below keeps y_{dk+l}
+    to 1e-9."""
+    _, y = ml.catalog_sequence(name, 2 * d + offset)
+    tspec = ml.TransformSpec(ml.TransformSpec.SUBSEQUENCE, d=d, offset=offset)
+    report = ml.verify_transform_consistency(y, tspec, ml.density_catalog(name),
+                                             n_max=2, tol=1e-9)
+    assert report.passed, report.max_rel_error
+    # with no shift the piece below is under 0.5 % of the mass at d = 70:
+    # good to 1e-6, not to 1e-8
+    _, y = ml.catalog_sequence(name, 140)
+    tspec = ml.TransformSpec(ml.TransformSpec.SUBSEQUENCE, d=70)
+    dens = ml.density_catalog(name)
+    assert ml.verify_transform_consistency(y, tspec, dens, n_max=2, tol=1e-6).passed
+    with pytest.raises(ValueError, match="too much mass"):
+        ml.verify_transform_consistency(y, tspec, dens, n_max=2, tol=1e-8)
+
+
 def test_verify_transform_consistency_subsequence():
     _, cat = ml.catalog_sequence("catalan", 20)
     tspec = ml.TransformSpec(ml.TransformSpec.SUBSEQUENCE, d=2)
@@ -391,11 +473,11 @@ def test_verify_transform_consistency_subsequence():
 
 
 @pytest.mark.parametrize("name", ["catalan", "central_binomial", "delannoy"])
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 12])
 @pytest.mark.parametrize("offset", [0, 1, 2, 3])
 def test_subsequence_matches_pushforward_at_tight_tol(name, d, offset):
-    """y_{dk+l} against the x^d pushforward of x^l w at 1e-9: power maps at
-    a zero endpoint, and the midpoint rule handing over at its node cap."""
+    """y_{dk+l} against the x^d pushforward of x^l w at 1e-9: at a zero
+    endpoint the exponent's denominator, up to 2d, sets the substitution."""
     _, y = ml.catalog_sequence(name, 8 * d + offset)
     tspec = ml.TransformSpec(ml.TransformSpec.SUBSEQUENCE, d=d, offset=offset)
     report = ml.verify_transform_consistency(y, tspec, ml.density_catalog(name),
@@ -420,6 +502,32 @@ def test_verify_transform_consistency_lincomb():
                                              ml.density_catalog("catalan"),
                                              8, tol=1e-6)
     assert report.passed
+
+
+def test_lincomb_interval_must_contain_the_support():
+    """On [3, 4] g = x - 2 is >= 0, but g w is negative on [0, 2): the
+    interval is compared exactly with the support, Surd ends included."""
+    _, cat = ml.catalog_sequence("catalan", 14)
+    dens = ml.density_catalog("catalan")
+    narrow = ml.TransformSpec(ml.TransformSpec.LINEAR_COMBINATION, g=(-2, 1),
+                              interval=(Fraction(3), Fraction(4)))
+    with pytest.raises(ValueError, match="does not contain the support"):
+        ml.verify_transform_consistency(cat, narrow, dens, 8)
+    with pytest.raises(ValueError, match="does not contain the support"):
+        ml.transformed_density(dens, narrow)
+    with pytest.raises(ValueError, match="does not contain the support"):
+        ml.linear_combination_transform(cat, (-2, 1), Fraction(3), Fraction(4), density=dens)
+    # without a density there is no support to contain
+    seq, _ = ml.linear_combination_transform(cat, (-2, 1), Fraction(3), Fraction(4))
+    assert seq[0] == -1
+    wide = ml.TransformSpec(ml.TransformSpec.LINEAR_COMBINATION, g=(1, 1),
+                            interval=(Fraction(-1), Fraction(5)))
+    assert ml.verify_transform_consistency(cat, wide, dens, 8).passed
+    _, dela = ml.catalog_sequence("delannoy", 8)
+    dens = ml.density_catalog("delannoy")  # on [3 - 2 sqrt 2, 3 + 2 sqrt 2]
+    ml.linear_combination_transform(dela, (1,), Fraction(17157, 10 ** 5), 6, density=dens)
+    with pytest.raises(ValueError, match="does not contain the support"):
+        ml.linear_combination_transform(dela, (1,), Fraction(17158, 10 ** 5), 6, density=dens)
 
 
 def test_transform_measure_commutation():
