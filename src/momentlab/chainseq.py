@@ -12,18 +12,19 @@ At either endpoint x the ratio sequence
 
     alpha_n(x) = t_{n+1} / ((s_n - x)(s_{n+1} - x))
 
-is eventually the constant 1/4 exactly, which turns the infinite chain
-condition into a finite check plus a closed-form tail argument: once the
-minimal parameter entering the constant-1/4 tail is <= 1/2 every later
-parameter stays inside [1/4, 1/2], and once it exceeds 1/2 the
-parameters grow strictly and escape [0, 1) after finitely many steps.
-Certificates therefore combine an exact finite prefix run with the
-exact tail bound, and are decided entirely in Q(sqrt(t)).
+is the constant 1/4 from n = 1 on, so the whole chain has a closed form
+(Wall 1948): with g_1 = alpha_0(x) and e_n = 1/2 - g_n, the minimal
+parameters obey 1/e_{n+1} = 1/e_n + 2.  Once g_1 <= 1/2 every later
+parameter stays inside [1/4, 1/2]; once g_1 > 1/2 the parameters grow
+strictly and first reach 1 at n* = ceil(1/(2 g_1 - 1)).  Certificates
+run the exact recursion only over the head they print and decide the
+rest from g_1, entirely in Q(sqrt(t)).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +45,10 @@ __all__ = [
     "support_interval",
     "certify_support",
 ]
+
+#: How many minimal parameters, g_0 .. g_7, a ChainVerdict prints.
+_HEAD = 8
+
 
 def alpha_sequence(spec: SigmaTauSpec, x, n_max: int):
     """alpha_0 .. alpha_{n_max} at the point x.
@@ -74,6 +79,9 @@ class ChainVerdict:
     ``is_chain_up_to`` is the largest index n such that a_0 .. a_n were
     consumed with every parameter inside [0, 1); -1 if a_0 already
     failed.  ``failure_index`` is the first offending index, or None.
+    ``parameters`` holds g_0, g_1, ... as far as the recursion ran: to the
+    failure or the end of the data for :func:`minimal_parameters`, and
+    the printed head g_0 .. g_7 at most for :func:`certify_support`.
     """
 
     is_chain_up_to: int
@@ -89,7 +97,7 @@ class ChainVerdict:
             "mode": "minimal_parameters",
             "is_chain_up_to": self.is_chain_up_to,
             "failure_index": self.failure_index,
-            "parameters_head": [str(g) for g in self.parameters[:8]],
+            "parameters_head": [str(g) for g in self.parameters[:_HEAD]],
         }
 
 
@@ -350,17 +358,34 @@ def _zero_beyond(p, s, q, t, r, n) -> bool:
 _ZEROS_ORDER = 50
 
 
+def _ceil(v) -> int:
+    """The least integer >= v, exactly, for a Fraction or a Surd v."""
+    if isinstance(v, Fraction):
+        return math.ceil(v)
+    # floor(a) + sign(b) isqrt(floor(b^2 r)) is within 2 of v = a + b sqrt(r)
+    root = math.isqrt(math.floor(v.b * v.b * v.r))
+    n = math.floor(v.a) + (root if v.b > 0 else -root)
+    while n < v:
+        n += 1
+    while n - 1 >= v:
+        n -= 1
+    return n
+
+
 def certify_support(spec: SigmaTauSpec, n_check: int = 200) -> SupportReport:
     """Certify [s - 2 sqrt(t), s + 2 sqrt(t)] for a shorthand spec.
 
-    Runs the exact chain recursion at both endpoints for ``n_check``
-    steps, closes the infinite tail with the constant-1/4 argument,
-    verifies s_n stays strictly between the endpoints, and decides exactly
-    that the zeros of P_n, n = ``_ZEROS_ORDER``, lie in [a, b]: P_0 .. P_n
-    is a Sturm sequence, so the sign changes of P_k(b) and (-1)^k P_k(a)
-    count the zeros above b and below a; the constant tail gives both counts
-    in closed form (``zeros_interval`` is for display).  When p = b, alpha_0
-    has a pole there, and that endpoint's chain is reported failed at 0.
+    Decides the chain condition at both endpoints for a_0 .. a_N,
+    N = max(``n_check``, 2): the exact recursion runs over the printed head
+    only, the first escape comes from the closed form in g_1 (see the
+    module docstring), and the constant-1/4 argument closes the infinite
+    tail.  It also verifies s_n stays strictly between the endpoints, and
+    decides exactly that the zeros of P_n, n = ``_ZEROS_ORDER``, lie in
+    [a, b]: P_0 .. P_n is a Sturm sequence, so the sign changes of P_k(b)
+    and (-1)^k P_k(a) count the zeros above b and below a; the constant tail
+    gives both counts in closed form (``zeros_interval`` is for display).
+    When p = b, alpha_0 has a pole there, and that endpoint's chain is
+    reported failed at 0.
     """
     short = spec.shorthand
     if short is None:
@@ -372,16 +397,24 @@ def certify_support(spec: SigmaTauSpec, n_check: int = 200) -> SupportReport:
     # eventually-constant sigma takes only the values p and s
     s_bounds_ok = all(bool(v > a) and bool(v < b) for v in (p, s))
 
+    last = max(n_check, 2)
+
     def chain_side(x):
         failed_tail = TailCertificate(False, Fraction(1, 4), None, None)
         try:
-            alphas = alpha_sequence(spec, x, max(n_check, 2))
+            alphas = alpha_sequence(spec, x, min(last, _HEAD - 2))
         except PoleAt:  # p = x: alpha_0 is undefined, so the chain fails at 0
             return ChainVerdict(-1, (Fraction(0),), 0), failed_tail
-        verdict = minimal_parameters(alphas)
-        if verdict.ok:  # alphas has >= 3 terms, so parameters[1] exists
-            return verdict, constant_tail_certificate(verdict.parameters[1], alphas[1])
-        return verdict, failed_tail
+        head = minimal_parameters(alphas)
+        if not head.ok:
+            return head, failed_tail
+        g1 = head.parameters[1]  # alphas has >= 3 terms, so g_1 exists
+        if g1 > Fraction(1, 2):
+            failure = _ceil(1 / (2 * g1 - 1)) - 1
+            if failure <= last:
+                return ChainVerdict(failure - 1, head.parameters, failure), failed_tail
+        return (ChainVerdict(last, head.parameters),
+                constant_tail_certificate(g1, alphas[1]))
 
     left_chain, left_tail = chain_side(a)
     right_chain, right_tail = chain_side(b)

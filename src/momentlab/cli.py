@@ -220,11 +220,11 @@ def _cmd_support(args, parser):
 
 
 def _cmd_verify(args, parser):
-    from . import measures
+    tol = _default_tol(parser) if args.tol is None else args.tol
+    from . import measures  # after the tolerance: a bad one exits 2 without it
     if args.name not in measures.density_names():
         parser.error(f"no catalog density for {args.name!r}; "
                      f"choose from {', '.join(measures.density_names())}")
-    tol = _default_tol(parser) if args.tol is None else args.tol
     dens = measures.density_catalog(args.name)
     _, seq = seqcore.catalog_sequence(args.name, args.n)
     report = measures.verify_representation(seq, dens, args.n, tol=tol)
@@ -258,7 +258,6 @@ def _parse_lincomb(text: str):
 
 
 def _cmd_transform(args, parser):
-    from . import measures
     if (args.sub is None) == (args.lincomb is None):
         parser.error("choose exactly one of --sub or --lincomb")
     if args.sub is not None and args.interval is not None:
@@ -274,6 +273,7 @@ def _cmd_transform(args, parser):
         _, seq = seqcore.catalog_sequence(args.name, args.n)
     else:
         seq = _read_sequence(args.input, parser)
+    from . import measures  # after the input checks: bad input exits 2 without it
     dens = measures.density_catalog(args.name) \
         if args.name in measures.density_names() else None
 
@@ -281,21 +281,28 @@ def _cmd_transform(args, parser):
         d, l = _parse_sub(args.sub)
         out = measures.subsequence_transform(seq, d, l)
         spec = measures.TransformSpec(measures.TransformSpec.SUBSEQUENCE, d=d, offset=l)
+        n_out = len(out)
     else:
         g = _parse_lincomb(args.lincomb)
         if interval is None and dens is not None:
             interval = (dens.a_exact, dens.b_exact)
         elif interval is None:
             parser.error("--lincomb needs --interval when no catalog density exists")
-        out, _ = measures.linear_combination_transform(seq, g, *interval, density=dens)
         spec = measures.TransformSpec(measures.TransformSpec.LINEAR_COMBINATION,
                                       g=g, interval=interval)
+        if args.verify and dens is not None:
+            # verify_transform_consistency builds T_g y and g w, with the same
+            # checks in the same order, so only the length is needed here
+            n_out = len(seq) - max((i for i, c in enumerate(g) if c), default=0)
+        else:
+            out, _ = measures.linear_combination_transform(seq, g, *interval, density=dens)
+            n_out = len(out)
     if not args.verify:
         return out, 0
 
     if dens is None:
         parser.error("--verify needs a catalog density input")
-    n_top = min(8 if args.check_n is None else args.check_n, len(out) - 1)
+    n_top = min(8 if args.check_n is None else args.check_n, n_out - 1)
     report = measures.verify_transform_consistency(seq, spec, dens, n_top, tol)
     return report, 0 if report.passed else 1
 

@@ -12,6 +12,13 @@ families (Catalan, Motzkin, Schroeder, Delannoy, ...) all arise from
 eventually-constant data, abbreviated by a quadruple (p, s; q, t) meaning
 sigma = (p, s, s, ...) and tau = (q, t, t, ...).
 
+A shorthand spec has a quadratic generating function (the continued
+fraction is periodic from depth 1), so its column is P-recursive
+(Stanley, EC2 6.4): :func:`catalan_like` runs a recurrence of order at
+most 4 with O(1) operations per term, where the rolling rows of
+:func:`recursive_matrix` cost O(n) per row.  The rows stay for prefix
+specs and are the reference the recurrence is tested against.
+
 Everything in this module is exact and no floating point is involved
 anywhere.  Integral specs (every catalog family) are generated over
 Python ints and rational ones over Fractions; results are handed out as
@@ -234,6 +241,11 @@ def _values(y) -> tuple:
     return tuple([v if isinstance(v, Surd) else ensure_fraction(v) for v in y])
 
 
+def _exact(v: Fraction):
+    """An int for denominator 1, so integral specs run in int arithmetic."""
+    return v.numerator if v.denominator == 1 else v
+
+
 def _rows(spec: SigmaTauSpec, n_max: int):
     """Yield rows r[0] .. r[n_max] of the recursive matrix, one at a time.
 
@@ -242,12 +254,8 @@ def _rows(spec: SigmaTauSpec, n_max: int):
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-
-    def exact(v: Fraction):
-        return v.numerator if v.denominator == 1 else v
-
-    sigma = [exact(spec.sigma(k)) for k in range(n_max + 1)]
-    tau = [exact(spec.tau(k + 1)) for k in range(n_max + 1)]  # tau[k] = t_{k+1}
+    sigma = [_exact(spec.sigma(k)) for k in range(n_max + 1)]
+    tau = [_exact(spec.tau(k + 1)) for k in range(n_max + 1)]  # tau[k] = t_{k+1}
     row = [1]
     yield row
     for _ in range(n_max):
@@ -263,10 +271,74 @@ def recursive_matrix(spec: SigmaTauSpec, n_max: int) -> RecursiveMatrix:
                                  for row in _rows(spec, n_max)))
 
 
+def _pmul(a, b):
+    """Product of ascending coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _shorthand_column(p, s, q, t, n_max: int) -> list:
+    """y_0 .. y_n_max for sigma = (p, s, s, ...), tau = (q, t, t, ...).
+
+    The generating function is y = 2t / (L + q R) = 2t (L - q R) / D, with
+    R = sqrt(P), P = (1 - s x)^2 - 4t x^2, L = 2t - q - (2tp - qs) x and
+    D = L^2 - q^2 P.  Since 2 P R' = P' R, it satisfies
+
+        2 P D y' + (2 P D' - P' D) y = 2t (2 P L' - P' L),
+
+    whose x^m coefficient links y_{m+1-k}, k = 0 .. 4.  Let k0 be the order
+    of D at 0 (D is not 0: P is not a square, as t != 0).  Then y_n, with
+    m = n + k0 - 1, has the coefficient 2 D_k0 (n + k0), which is never 0
+    for n >= 1, so y_0 = 1 seeds a recurrence of order 4 - k0.  An integral
+    spec runs in ints with exact division; a rational one in Fractions.
+    """
+    P = [1, -2 * s, s * s - 4 * t]
+    L = [2 * t - q, q * s - 2 * t * p]
+    D = [ll - q * q * pp for ll, pp in zip(_pmul(L, L), P)]
+    dP, dD = [P[1], 2 * P[2]], [D[1], 2 * D[2]]
+    A = [2 * v for v in _pmul(P, D)]
+    B = [2 * u - v for u, v in zip(_pmul(P, dD), _pmul(dP, D))]
+    C = [2 * t * (2 * L[1] * u - v) for u, v in zip(P, _pmul(dP, L))]
+    k0 = next(k for k, v in enumerate(D) if v != 0)
+    lead = 2 * D[k0]
+    # y_{n-j} enters with a_{k0+j} (n - j) + b_{k0+j-1}, j = 1 .. 4 - k0
+    back = [(j, A[k0 + j], B[k0 + j - 1]) for j in range(1, 5 - k0)]
+    integral = all(isinstance(v, int) for v in (p, s, q, t))
+    y = [1]
+    for n in range(1, n_max + 1):
+        m = n + k0 - 1
+        num = C[m] if m <= 2 else 0
+        for j, a, b in back:
+            if j <= n:
+                num -= (a * (n - j) + b) * y[n - j]
+        den = lead * (n + k0)
+        if integral:
+            value, rem = divmod(num, den)
+            assert rem == 0, "a shorthand spec with int data has int terms"
+        else:
+            value = num / den
+        y.append(value)
+    return y
+
+
 def catalan_like(spec: SigmaTauSpec, n_max: int) -> Sequence:
-    """Column 0 of the recursive matrix: the Catalan-like numbers."""
-    return Sequence(tuple(row[0] for row in _rows(spec, n_max)),
-                    label=spec.label or "catalan-like", origin="recursive-matrix")
+    """Column 0 of the recursive matrix: the Catalan-like numbers.
+
+    A shorthand spec runs the P-recurrence of :func:`_shorthand_column`,
+    any other the rolling rows of :func:`_rows`.
+    """
+    short = spec.shorthand
+    if short is None:
+        column = [row[0] for row in _rows(spec, n_max)]
+    elif n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    else:
+        column = _shorthand_column(*map(_exact, short), n_max)
+    return Sequence(tuple(column), label=spec.label or "catalan-like",
+                    origin="recursive-matrix")
 
 
 #: (p, s; q, t) shorthand for the classical families.

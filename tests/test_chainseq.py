@@ -230,6 +230,81 @@ def test_certify_support_p_at_upper_endpoint(quad):
     assert not report.passed
 
 
+def _escape_quads():
+    """Quadruples whose left-endpoint chain first escapes at a chosen index f.
+
+    With s = 2 and t = 1 the left endpoint is 0 and g_1 = q / (2p); for
+    p = 1 and q - 1 in [1/(f + 1), 1/f) the parameters first reach 1 at
+    n* = ceil(1/(q - 1)) = f + 1, consumed at index f.  The ends of that
+    range take the ceiling exactly at an integer and just below one.
+    """
+    for f in (2, 3, 7, 8, 9, 10, 200, 201):
+        for gap in (Fraction(1, f + 1), Fraction(2, 2 * f + 1)):
+            yield 1, 2, 1 + gap, 1, f
+
+
+def _reference_chain(spec, x, n_check):
+    """The chain verdict and tail of the full recursion over a_0 .. a_N."""
+    failed = TailCertificate(False, Fraction(1, 4), None, None)
+    try:
+        alphas = ml.alpha_sequence(spec, x, max(n_check, 2))
+    except ml.PoleAt:
+        return ml.ChainVerdict(-1, (Fraction(0),), 0), failed
+    verdict = ml.minimal_parameters(alphas)
+    if not verdict.ok:
+        return verdict, failed
+    return verdict, ml.constant_tail_certificate(verdict.parameters[1], alphas[1])
+
+
+@pytest.mark.parametrize("n_check", [0, 1, 2, 7, 8, 9, 200])
+def test_certify_support_chain_matches_full_recursion(n_check):
+    """certify_support runs the recursion over the printed head only and
+    takes the first escape from the closed form; its chain fields and tails
+    match the full recursion's, on escapes at N = max(n_check, 2) and N + 1
+    too, in Q and in Q(sqrt(t))."""
+    rng = random.Random(22)
+    quads = [ml.CATALOG[name] for name in ml.catalog_names()]
+    quads += [quad[:4] for quad in _escape_quads()]
+    quads += [(2, 3, Fraction(k, 20), 2) for k in range(52, 104)]  # left escapes in Q(sqrt 2)
+    for _ in range(60):
+        quads.append((Fraction(rng.randint(-4, 16), 2), Fraction(rng.randint(-2, 10), 2),
+                      Fraction(rng.randint(1, 12), 2), Fraction(rng.randint(1, 12), rng.randint(1, 3))))
+    last = max(n_check, 2)
+    escapes = set()
+    for quad in quads:
+        spec = ml.make_spec(*quad)
+        try:
+            report = ml.certify_support(spec, n_check=n_check)
+        except ml.HypothesisFailure:
+            continue
+        cert = report.certificate
+        for x, chain, tail in ((cert.lower, report.left_chain, report.left_tail),
+                               (cert.upper, report.right_chain, report.right_tail)):
+            verdict, expected_tail = _reference_chain(spec, x, n_check)
+            assert chain.to_dict() == verdict.to_dict(), (quad, n_check)
+            assert (chain.is_chain_up_to, chain.failure_index) == (
+                verdict.is_chain_up_to, verdict.failure_index)
+            assert len(chain.parameters) <= 8
+            assert chain.parameters == verdict.parameters[:len(chain.parameters)]
+            assert tail == expected_tail, (quad, n_check)
+            if verdict.failure_index is not None:
+                escapes.add(verdict.failure_index - last)
+            elif expected_tail.entry_parameter is not None and not expected_tail.ok:
+                escapes.add("beyond")
+    assert {0, "beyond"} <= escapes
+
+
+@pytest.mark.parametrize("quad", list(_escape_quads()), ids=str)
+def test_certify_support_escape_index_in_closed_form(quad):
+    p, s, q, t, f = quad
+    spec = ml.make_spec(p, s, q, t)
+    assert ml.certify_support(spec, n_check=f).left_chain.failure_index == f
+    if f > 2:  # N = max(n_check, 2), so an escape at 2 is always inside
+        beyond = ml.certify_support(spec, n_check=f - 1)
+        assert beyond.left_chain.ok and beyond.left_chain.is_chain_up_to == f - 1
+        assert not beyond.left_tail.ok and beyond.left_tail.bound == Fraction(1, 2)
+
+
 def test_certify_support_needs_shorthand():
     spec = ml.spec_from_prefixes([1, 2, 3], 1, [1, 1], 1)
     with pytest.raises(ValueError):

@@ -480,12 +480,19 @@ _CLI_BASE = ("momentlab", "momentlab._record", "momentlab.cli", "momentlab.error
      ("measures", "orthopoly")),
     # a malformed sequence file exits 2 before classify imports hankel
     (("classify", "--m", "1", "--input", "bad.json"), 2, ()),
+    # a bad MOMENTLAB_PRECISION (set by a leading VAR=value, as in a shell)
+    # exits 2 before verify and transform import measures
+    (("MOMENTLAB_PRECISION=abc", "verify", "--name", "catalan", "--n", "5"), 2, ()),
+    (("MOMENTLAB_PRECISION=abc", "transform", "--name", "catalan", "--sub", "d=2"), 2, ()),
 ])
 def test_each_subcommand_loads_only_its_layers(tmp_path, argv, code, layers):
     _, cat = ml.catalog_sequence("catalan", 12)
     (tmp_path / "seq.json").write_text(cat.to_json())
     (tmp_path / "bad.json").write_text("[1, 2")
-    proc = run_process(("-c", _MOMENTLAB_LOADED, *argv), cwd=tmp_path)
+    precision = None
+    if argv and argv[0].startswith("MOMENTLAB_PRECISION="):
+        precision, argv = argv[0].partition("=")[2], argv[1:]
+    proc = run_process(("-c", _MOMENTLAB_LOADED, *argv), precision=precision, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     *_, status, loaded = proc.stdout.splitlines()
     # hankel and chainseq records stay dataclasses, because perfbench calls

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import momentlab as ml
 from conftest import (count_sign_changes, jacobi_norm, ops_values, poly_mul,
-                      reference_ops_zeros, reference_recurrence)
+                      reference_bisection_zeros, reference_ops_zeros, reference_recurrence)
 
 
 def test_p0_is_one():
@@ -197,6 +197,47 @@ def test_zeros_correctly_rounded(spec, n):
     slack = 16 * math.ulp(1.0) * max(1.0, jacobi_norm(spec, n))
     for z, ref in zip(zeros, reference_ops_zeros(spec, n)):
         assert abs(z - ref) <= slack
+
+
+_TIE = Fraction(1) + Fraction(1, 2 ** 53)  # halfway between 1.0 and the next double up
+
+
+@pytest.mark.parametrize("spec,n", [
+    (ml.make_spec(1, 1, 1, 1), 5),                       # zeros 0, 1, 2 exactly
+    (ml.make_spec(0, 0, 1, 1), 7),                       # a zero at 0.0
+    (ml.make_spec(_TIE, _TIE, 1, 1), 1),                 # the tie itself
+    (ml.make_spec(_TIE, _TIE, 1, 1), 9),                 # a tie in the middle
+    (ml.make_spec(_TIE, _TIE, Fraction(1, 4), 1), 2),    # 1/2 + 2^-53 exact, 3/2 + 2^-53 a tie
+    (ml.make_spec(3 * _TIE - 2, 3 * _TIE - 2, 1, 1), 3),  # a tie that rounds up to even
+    (ml.make_spec(Fraction(1, 2 ** 1075), Fraction(1, 2 ** 1075), 1, 1), 5),  # subnormal tie
+    (ml.make_spec(Fraction(7, 3), Fraction(7, 3), Fraction(9, 4), 1), 2),  # 7/3 -+ 3/2
+    (ml.spec_from_prefixes([1, 1, 1], 1, [Fraction(1, 10 ** 30), 1], 1), 6),  # close zeros
+    (ml.make_spec(10 ** 6, -3, 5, Fraction(1, 9)), 12),  # one zero far from the rest
+])
+def test_zeros_match_reference_bisection_on_exact_zeros_and_ties(spec, n):
+    """Newton proposals change only where the bisection starts: every zero,
+    exact ones and ties included, is bit-identical to plain bisection."""
+    zeros = ml.ops_zeros(spec, n)
+    assert zeros == reference_bisection_zeros(spec, n, range(n))
+    assert ml.true_interval_estimate(spec, n) == (zeros[0], zeros[-1])
+
+
+def test_tie_zeros_round_to_even():
+    tie = ml.make_spec(_TIE, _TIE, 1, 1)
+    assert ml.ops_zeros(tie, 1) == [1.0]
+    assert ml.ops_zeros(tie, 9)[4] == 1.0
+    up = 3 * _TIE - 2  # halfway between 1 + 2^-52 and 1 + 2^-51, which is even
+    assert ml.ops_zeros(ml.make_spec(up, up, 1, 1), 3)[1] == 1 + 2 ** -51
+
+
+@given(_SPEC, st.integers(min_value=1, max_value=12), st.data())
+@settings(max_examples=40, deadline=None)
+def test_zeros_match_reference_bisection(spec, n, data):
+    wanted = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    got = ml.ops_zeros(spec, n)
+    assert [got[j] for j in sorted(wanted)] == reference_bisection_zeros(spec, n, wanted)
+    ends = reference_bisection_zeros(spec, n, {0, n - 1})
+    assert ml.true_interval_estimate(spec, n) == (ends[0], ends[-1])
 
 
 def test_true_interval_estimates():
