@@ -358,20 +358,6 @@ def _zero_beyond(p, s, q, t, r, n) -> bool:
 _ZEROS_ORDER = 50
 
 
-def _ceil(v) -> int:
-    """The least integer >= v, exactly, for a Fraction or a Surd v."""
-    if isinstance(v, Fraction):
-        return math.ceil(v)
-    # floor(a) + sign(b) isqrt(floor(b^2 r)) is within 2 of v = a + b sqrt(r)
-    root = math.isqrt(math.floor(v.b * v.b * v.r))
-    n = math.floor(v.a) + (root if v.b > 0 else -root)
-    while n < v:
-        n += 1
-    while n - 1 >= v:
-        n -= 1
-    return n
-
-
 def certify_support(spec: SigmaTauSpec, n_check: int = 200) -> SupportReport:
     """Certify [s - 2 sqrt(t), s + 2 sqrt(t)] for a shorthand spec.
 
@@ -410,7 +396,7 @@ def certify_support(spec: SigmaTauSpec, n_check: int = 200) -> SupportReport:
             return head, failed_tail
         g1 = head.parameters[1]  # alphas has >= 3 terms, so g_1 exists
         if g1 > Fraction(1, 2):
-            failure = _ceil(1 / (2 * g1 - 1)) - 1
+            failure = math.ceil(1 / (2 * g1 - 1)) - 1
             if failure <= last:
                 return ChainVerdict(failure - 1, head.parameters, failure), failed_tail
         return (ChainVerdict(last, head.parameters),

@@ -279,30 +279,26 @@ def _cmd_transform(args, parser):
 
     if args.sub is not None:
         d, l = _parse_sub(args.sub)
-        out = measures.subsequence_transform(seq, d, l)
+        if not args.verify:
+            return measures.subsequence_transform(seq, d, l), 0
         spec = measures.TransformSpec(measures.TransformSpec.SUBSEQUENCE, d=d, offset=l)
-        n_out = len(out)
     else:
         g = _parse_lincomb(args.lincomb)
         if interval is None and dens is not None:
             interval = (dens.a_exact, dens.b_exact)
         elif interval is None:
             parser.error("--lincomb needs --interval when no catalog density exists")
+        if not args.verify:
+            out, _ = measures.linear_combination_transform(seq, g, *interval, density=dens)
+            return out, 0
         spec = measures.TransformSpec(measures.TransformSpec.LINEAR_COMBINATION,
                                       g=g, interval=interval)
-        if args.verify and dens is not None:
-            # verify_transform_consistency builds T_g y and g w, with the same
-            # checks in the same order, so only the length is needed here
-            n_out = len(seq) - max((i for i, c in enumerate(g) if c), default=0)
-        else:
-            out, _ = measures.linear_combination_transform(seq, g, *interval, density=dens)
-            n_out = len(out)
-    if not args.verify:
-        return out, 0
 
     if dens is None:
         parser.error("--verify needs a catalog density input")
-    n_top = min(8 if args.check_n is None else args.check_n, n_out - 1)
+    # verify_transform_consistency builds the transform, so only its length is needed
+    n_top = min(8 if args.check_n is None else args.check_n,
+                measures.transform_length(spec, len(seq)) - 1)
     report = measures.verify_transform_consistency(seq, spec, dens, n_top, tol)
     return report, 0 if report.passed else 1
 

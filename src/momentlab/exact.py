@@ -92,6 +92,19 @@ class Surd:
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(float(self.r))
 
+    def __floor__(self) -> int:
+        # floor(a) + sign(b) isqrt(floor(b^2 r)) is within 2 of the value
+        root = math.isqrt(math.floor(self.b * self.b * self.r))
+        n = math.floor(self.a) + (root if self.b > 0 else -root)
+        while n > self:
+            n -= 1
+        while n + 1 < self:
+            n += 1
+        return n
+
+    def __ceil__(self) -> int:
+        return math.floor(self) + 1  # a Surd is irrational, so never an integer
+
     def __repr__(self):
         return f"Surd({self})"
 

@@ -364,6 +364,18 @@ class TransformSpec(Record):
             object.__setattr__(self, "g", tuple(ensure_fraction(c) for c in self.g))
 
 
+def _degree(g) -> int:
+    """deg g, with the zero polynomial counted as degree 0."""
+    return max(len(_ptrim(g)) - 1, 0)
+
+
+def transform_length(transform: TransformSpec, n: int) -> int:
+    """Terms in the transform of an n-term sequence (<= 0 when it has none)."""
+    if transform.kind == TransformSpec.SUBSEQUENCE:
+        return len(range(transform.offset, n, transform.d))
+    return n - _degree(transform.g)
+
+
 def subsequence_transform(y, d: int, offset: int = 0) -> Sequence:
     """The affine subsequence k -> y_{dk + offset}."""
     if d < 1 or offset < 0:
@@ -522,7 +534,7 @@ def linear_combination_transform(y, g, a, b, density: Density = None):
     """
     coeffs = _ptrim(ensure_fraction(c) for c in g) or (Fraction(0),)
     vals = y.values if isinstance(y, Sequence) else tuple(y)
-    deg = len(coeffs) - 1
+    deg = _degree(coeffs)
     if len(vals) <= deg:
         raise InsufficientData("sequence shorter than the polynomial degree")
     if density is not None:

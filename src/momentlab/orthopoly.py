@@ -11,11 +11,9 @@ Three equivalent descriptions are implemented and cross-checkable:
 
 Polynomial coefficients and recovered coefficients stay exact rational.
 Zeros are binary64 values, each the correctly rounded image of the exact
-zero.  Float Newton iterates on the recurrence, with implicit deflation
-(Maehly), only propose where each zero is; exact Sturm counts of the
-recurrence in integer arithmetic (Barth, Martin & Wilkinson, Numer.
-Math. 9, 1967) confirm a bracket of a few doubles around each proposal,
-and bisection over the doubles in it decides the rounding.
+zero: bisection over doubles, deciding every probe by an exact Sturm
+count of the recurrence in integer arithmetic (Barth, Martin & Wilkinson,
+Numer. Math. 9, 1967).
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from bisect import bisect_left
 from fractions import Fraction
 
 from ._record import Record
@@ -247,56 +244,20 @@ def _sturm_counter(spec: SigmaTauSpec, n: int):
     return count
 
 
-def _newton(sigma, tau, n: int, count: int, start: float) -> list:
-    """Float estimates of the ``count`` largest zeros of P_n, descending.
-
-    P_n and P_n' come from the recurrence in floats (rescaled against
-    overflow).  Each zero is found by Newton's method on P_n divided by the
-    zeros already found (implicit deflation), begun at ``start``, above
-    every zero: from there the iterates of a polynomial with real zeros
-    fall monotonically, so the first step that does not fall ends the
-    search.  The estimates are only proposals; :func:`_zeros` certifies them.
-    """
-    found, s0, rest = [], sigma[0], list(zip(sigma[1:n], tau[1:n]))
-    for _ in range(count):
-        x = start
-        for _ in range(200):
-            p_prev, p, d_prev, d = 1.0, x - s0, 0.0, 1.0
-            for s, t in rest:
-                u = x - s
-                p_prev, p, d_prev, d = p, u * p - t * p_prev, d, p + u * d - t * d_prev
-                if not -1e100 < p < 1e100:
-                    p_prev, p, d_prev, d = p_prev * 1e-100, p * 1e-100, d_prev * 1e-100, d * 1e-100
-            try:
-                step = 1 / (d / p - sum(1 / (x - z) for z in found))
-            except ZeroDivisionError:  # x is a zero of P_n, or met a found one
-                break
-            if not -math.inf < x - step < x:
-                break
-            x -= step
-        found.append(x)
-    return found
-
-
 def _zeros(spec: SigmaTauSpec, n: int, wanted) -> list:
     """Correctly rounded zeros of P_n with the given ascending indices.
 
-    A Gershgorin bracket of the Jacobi matrix, confirmed by exact counts,
-    holds every zero.  Zeros in the upper half of the indices are proposed
-    by :func:`_newton` from above the bracket, those in the lower half from
-    below it (on P_n(-x)).  Exact counts at the doubles either side of a
-    proposal confirm a bracket, which widens 2^8-fold until they do; the
-    bracket is then bisected over the ordered doubles.  Once a zero's
-    bracket is two neighbouring doubles, the exact count at their midpoint
-    decides the rounding (ties to even), so an exact zero comes back exactly.
+    Bisection over the ordered doubles, starting from a Gershgorin bracket
+    of the Jacobi matrix that exact counts confirm.  Once a zero's bracket
+    is two neighbouring doubles, the exact count at their midpoint decides
+    the rounding (ties to even), so an exact zero comes back exactly.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     if not spec.positive_case:
         raise NotPositiveCase("zeros need every t_k > 0")
     count = _sturm_counter(spec, n)
-    tau = [0.0] + [float(spec.tau(k)) for k in range(1, n)]
-    radius = [0.0] + [math.sqrt(t) for t in tau[1:]] + [0.0]
+    radius = [0.0] + [math.sqrt(float(spec.tau(k))) for k in range(1, n)] + [0.0]
     centre = [float(spec.sigma(k)) for k in range(n)]
     lo = min(s - radius[k] - radius[k + 1] for k, s in enumerate(centre))
     hi = max(s + radius[k] + radius[k + 1] for k, s in enumerate(centre))
@@ -306,47 +267,14 @@ def _zeros(spec: SigmaTauSpec, n: int, wanted) -> list:
     while count(hi)[0] > 0:
         hi, step = hi + step, 2 * step
 
-    wanted = sorted(set(wanted))
-    upper = [j for j in wanted if 2 * j >= n - 1]
-    lower = [j for j in wanted if 2 * j < n - 1]
-    guess = {}
-    if upper:
-        top = _newton(centre, tau, n, n - upper[0], hi)
-        guess.update((n - 1 - i, z) for i, z in enumerate(top))
-    if lower:
-        bottom = _newton([-s for s in centre], tau, n, lower[-1] + 1, -lo)
-        guess.update((i, -z) for i, z in enumerate(bottom))
-
-    lo_o, hi_o = _ordinal(lo), _ordinal(hi)
+    wanted = set(wanted)
     zeros = {}
-    for j in wanted:
-        if j in zeros:
-            continue
-        centre_o = _ordinal(min(max(guess[j], lo), hi))  # each guess is finite
-        half = 1
-        while True:  # the whole bracket, reached at the latest, holds zero j
-            a_o, b_o = max(centre_o - half, lo_o), min(centre_o + half, hi_o)
-            above_a, _ = count(_double(a_o))
-            above_b, at_b = count(_double(b_o))
-            if n - above_a <= j < n - above_b:
-                break
-            half <<= 8
-        _bisect(count, n, wanted, zeros, (a_o, b_o, above_a, above_b, at_b))
-    return [zeros[j] for j in wanted]
-
-
-def _bisect(count, n: int, wanted, zeros: dict, bracket) -> None:
-    """Round every wanted zero of P_n in the bracket to a double, into zeros.
-
-    ``wanted`` is ascending.  The bracket (lo, hi] is given as ordinals with
-    the number of zeros above each end and whether P_n(hi) = 0.
-    """
-    stack = [bracket]
+    # (lo, hi] as ordinals: zeros above lo, zeros above hi, whether P_n(hi) = 0
+    stack = [(_ordinal(lo), _ordinal(hi), n, *count(hi))]
     while stack:
         lo_o, hi_o, above_lo, above_hi, at_hi = stack.pop()
         first = n - above_lo  # ascending index of the lowest zero in (lo, hi]
-        i = bisect_left(wanted, first)
-        if i == len(wanted) or wanted[i] >= n - above_hi:
+        if not any(first <= j < n - above_hi for j in wanted):
             continue
         if hi_o - lo_o > 1:
             # an exact zero at hi is cut off with its lower neighbour at once;
@@ -362,6 +290,7 @@ def _bisect(count, n: int, wanted, zeros: dict, bracket) -> None:
         tie = lo if lo_o % 2 == 0 else hi
         for j in range(first, n - above_hi):
             zeros[j] = lo if j < first + below else tie if j < first + below + at_mid else hi
+    return [zeros[j] for j in sorted(wanted)]
 
 
 def ops_zeros(spec: SigmaTauSpec, n: int) -> list:
@@ -378,7 +307,7 @@ def true_interval_estimate(spec: SigmaTauSpec, n: int):
 
     An inner approximation of the true orthogonality interval that
     widens monotonically with n; no extrapolation is attempted.  Only
-    the two extreme zeros are located.
+    the two extreme zeros are bisected.
     """
     zeros = _zeros(spec, n, {0, n - 1})
     return zeros[0], zeros[-1]

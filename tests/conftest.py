@@ -9,8 +9,7 @@ are the straightforward algorithms the library replaced: classification
 that decides every Hankel matrix by elimination order by order,
 definiteness witnesses by a second elimination on the original entries,
 recovery that squares the orthogonal polynomials, zeros as eigenvalues
-of the Jacobi matrix and by plain bisection over the doubles, and moments
-by scipy's adaptive quadrature.
+of the Jacobi matrix, and moments by scipy's adaptive quadrature.
 """
 
 from fractions import Fraction
@@ -18,7 +17,6 @@ from functools import lru_cache
 import itertools
 import math
 import os
-import struct
 
 from hypothesis import settings
 import pytest
@@ -435,58 +433,6 @@ def reference_ops_zeros(spec, n):
     off = [math.sqrt(float(spec.tau(k))) for k in range(1, n)]
     return [float(z) for z in eigh_tridiagonal(np.array(diag), np.array(off),
                                                eigvals_only=True)]
-
-
-def _ordinal(x):
-    """Position of a double among the ordered doubles; 0.0 and -0.0 map to 0."""
-    bits, = struct.unpack("<Q", struct.pack("<d", x))
-    return bits if bits < 1 << 63 else (1 << 63) - bits
-
-
-def _double(o):
-    return struct.unpack("<d", struct.pack("<Q", o if o >= 0 else (1 << 63) - o))[0]
-
-
-def reference_bisection_zeros(spec, n, wanted):
-    """Correctly rounded zeros of P_n with the given indices, found as
-    ``ops_zeros`` found them before Newton proposals: bisection over the
-    ordered doubles from a Gershgorin bracket, every probe decided by an
-    exact Sturm count of P_0(x) .. P_n(x) in Fractions, and the rounding
-    by the count at the midpoint of two neighbouring doubles, ties to even."""
-
-    def count(x):  # zeros above x, and whether P_n(x) = 0
-        vals = ops_values(spec, Fraction(x), n)
-        return count_sign_changes(vals), vals[-1] == 0
-
-    radius = [0.0] + [math.sqrt(float(spec.tau(k))) for k in range(1, n)] + [0.0]
-    centre = [float(spec.sigma(k)) for k in range(n)]
-    lo = min(s - radius[k] - radius[k + 1] for k, s in enumerate(centre))
-    hi = max(s + radius[k] + radius[k + 1] for k, s in enumerate(centre))
-    step = 1.0 + (hi - lo)
-    while count(lo)[0] < n:
-        lo, step = lo - step, 2 * step
-    while count(hi)[0] > 0:
-        hi, step = hi + step, 2 * step
-    wanted, zeros = set(wanted), {}
-    stack = [(_ordinal(lo), _ordinal(hi), n, *count(hi))]
-    while stack:
-        lo_o, hi_o, above_lo, above_hi, at_hi = stack.pop()
-        first = n - above_lo
-        if not any(first <= j < n - above_hi for j in wanted):
-            continue
-        if hi_o - lo_o > 1:
-            mid_o = hi_o - 1 if at_hi else 0 if lo_o < 0 < hi_o else (lo_o + hi_o) // 2
-            above_mid, at_mid = count(_double(mid_o))
-            stack += [(lo_o, mid_o, above_lo, above_mid, at_mid),
-                      (mid_o, hi_o, above_mid, above_hi, at_hi)]
-            continue
-        lo, hi = _double(lo_o), _double(hi_o)
-        above_mid, at_mid = count((Fraction(lo) + Fraction(hi)) / 2)
-        below = above_lo - above_mid - at_mid
-        tie = lo if lo_o % 2 == 0 else hi
-        for j in range(first, n - above_hi):
-            zeros[j] = lo if j < first + below else tie if j < first + below + at_mid else hi
-    return [zeros[j] for j in sorted(wanted)]
 
 
 def reference_zeros_ok(spec, a, b, n):

@@ -134,3 +134,11 @@ def test_mixed_arithmetic_with_fractions(a, b, r):
     if x != 0:
         results.append(q / x)
     assert all(isinstance(v, Fraction) == (b == 0) for v in results)
+
+
+@given(a=rationals, b=rationals.filter(bool), r=radicands, scale=st.integers(0, 40))
+def test_floor_and_ceil_bracket_the_value(a, b, r, scale):
+    x = Surd(a * 10 ** scale, b * 10 ** scale, r)
+    lo, hi = math.floor(x), math.ceil(x)
+    assert type(lo) is int and type(hi) is int
+    assert lo < x < hi == lo + 1

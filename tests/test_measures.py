@@ -213,6 +213,22 @@ def test_subsequence_transform_shift():
     assert list(ml.subsequence_transform(cat, 1, 0)) == list(cat.values)
 
 
+@given(n=st.integers(1, 12), d=st.integers(1, 4), offset=st.integers(0, 11),
+       g=st.lists(st.integers(0, 2), min_size=1, max_size=5))
+def test_transform_length_counts_the_built_terms(n, d, offset, g):
+    y = [Fraction(k + 1) for k in range(n)]
+    sub = ml.TransformSpec(ml.TransformSpec.SUBSEQUENCE, d=d, offset=offset)
+    built = len(ml.subsequence_transform(y, d, offset)) if offset < n else 0
+    assert measures.transform_length(sub, n) == built
+    lincomb = ml.TransformSpec(ml.TransformSpec.LINEAR_COMBINATION, g=g)
+    try:  # g >= 0 on [0, 1]; the trailing zero is not part of the degree
+        built = len(ml.linear_combination_transform(y, g + [0], 0, 1)[0])
+    except ml.InsufficientData:
+        assert measures.transform_length(lincomb, n) <= 0
+    else:
+        assert measures.transform_length(lincomb, n) == built
+
+
 def test_transform_support_images():
     assert ml.transform_support((Fraction(0), Fraction(4)), 2) == (0, 16)
     assert ml.transform_support((Fraction(-1), Fraction(3)), 2) == (0, 9)

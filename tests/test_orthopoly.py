@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import momentlab as ml
 from conftest import (count_sign_changes, jacobi_norm, ops_values, poly_mul,
-                      reference_bisection_zeros, reference_ops_zeros, reference_recurrence)
+                      reference_ops_zeros, reference_recurrence)
 
 
 def test_p0_is_one():
@@ -175,11 +175,9 @@ _SPEC = st.one_of(
 )
 
 
-@given(_SPEC, st.integers(min_value=1, max_value=16))
-@settings(max_examples=60, deadline=None)
-def test_zeros_correctly_rounded(spec, n):
-    """Each zero is the double nearest the exact one: exact Sturm counts put
-    the j-th smallest zero between the midpoints to the double's neighbours."""
+def _assert_correctly_rounded(spec, n):
+    """ops_zeros(spec, n), checked: each zero is the double nearest the exact
+    one, and true_interval_estimate returns the extreme two."""
     zeros = ml.ops_zeros(spec, n)
     assert len(zeros) == n and zeros == sorted(zeros)
     assert ml.true_interval_estimate(spec, n) == (zeros[0], zeros[-1])
@@ -193,6 +191,15 @@ def test_zeros_correctly_rounded(spec, n):
         upper = (Fraction(z) + Fraction(math.nextafter(z, math.inf))) / 2
         assert above(upper)[0] <= n - 1 - j
         assert sum(above(lower)) >= n - j
+    return zeros
+
+
+@given(_SPEC, st.integers(min_value=1, max_value=16))
+@settings(max_examples=60, deadline=None)
+def test_zeros_correctly_rounded(spec, n):
+    """Each zero is the double nearest the exact one: exact Sturm counts put
+    the j-th smallest zero between the midpoints to the double's neighbours."""
+    zeros = _assert_correctly_rounded(spec, n)
     # LAPACK's zeros are accurate to a few ulp of the matrix norm, not of z
     slack = 16 * math.ulp(1.0) * max(1.0, jacobi_norm(spec, n))
     for z, ref in zip(zeros, reference_ops_zeros(spec, n)):
@@ -214,12 +221,8 @@ _TIE = Fraction(1) + Fraction(1, 2 ** 53)  # halfway between 1.0 and the next do
     (ml.spec_from_prefixes([1, 1, 1], 1, [Fraction(1, 10 ** 30), 1], 1), 6),  # close zeros
     (ml.make_spec(10 ** 6, -3, 5, Fraction(1, 9)), 12),  # one zero far from the rest
 ])
-def test_zeros_match_reference_bisection_on_exact_zeros_and_ties(spec, n):
-    """Newton proposals change only where the bisection starts: every zero,
-    exact ones and ties included, is bit-identical to plain bisection."""
-    zeros = ml.ops_zeros(spec, n)
-    assert zeros == reference_bisection_zeros(spec, n, range(n))
-    assert ml.true_interval_estimate(spec, n) == (zeros[0], zeros[-1])
+def test_zeros_correctly_rounded_on_exact_zeros_and_ties(spec, n):
+    _assert_correctly_rounded(spec, n)
 
 
 def test_tie_zeros_round_to_even():
@@ -228,16 +231,6 @@ def test_tie_zeros_round_to_even():
     assert ml.ops_zeros(tie, 9)[4] == 1.0
     up = 3 * _TIE - 2  # halfway between 1 + 2^-52 and 1 + 2^-51, which is even
     assert ml.ops_zeros(ml.make_spec(up, up, 1, 1), 3)[1] == 1 + 2 ** -51
-
-
-@given(_SPEC, st.integers(min_value=1, max_value=12), st.data())
-@settings(max_examples=40, deadline=None)
-def test_zeros_match_reference_bisection(spec, n, data):
-    wanted = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
-    got = ml.ops_zeros(spec, n)
-    assert [got[j] for j in sorted(wanted)] == reference_bisection_zeros(spec, n, wanted)
-    ends = reference_bisection_zeros(spec, n, {0, n - 1})
-    assert ml.true_interval_estimate(spec, n) == (ends[0], ends[-1])
 
 
 def test_true_interval_estimates():

@@ -7,18 +7,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentlab as ml
-from momentlab.seqcore import _rows
 from conftest import EXPECTED_15, naive_column0
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 nonzero_rationals = small_rationals.filter(lambda v: v != 0)
 small_integers = st.integers(min_value=-4, max_value=4)
 nonzero_integers = small_integers.filter(lambda v: v != 0)
+
+
+def _shorthand(values, nonzero):
+    """(p, s; q, t) specs, also with t = q and with p = s, t = q: each makes
+    the P-recurrence that catalan_like runs on them one order shorter."""
+    return st.one_of(
+        st.builds(ml.make_spec, values, values, nonzero, nonzero),
+        st.builds(lambda p, s, q: ml.make_spec(p, s, q, q), values, values, nonzero),
+        st.builds(lambda s, q: ml.make_spec(s, s, q, q), values, nonzero),
+    )
+
+
 specs = st.one_of(
-    st.builds(ml.make_spec, small_integers, small_integers,
-              nonzero_integers, nonzero_integers),
-    st.builds(ml.make_spec, small_rationals, small_rationals,
-              nonzero_rationals, nonzero_rationals),
+    _shorthand(st.integers(-9, 9), st.integers(-9, 9).filter(bool)),
+    _shorthand(small_rationals, nonzero_rationals),
     st.builds(ml.spec_from_prefixes,
               st.lists(small_integers | small_rationals, max_size=6),
               small_integers | small_rationals,
@@ -123,9 +132,12 @@ def test_recurrence_reevaluates_exactly(p, s, q, t, n_max):
             assert m.entry(n + 1, k) == expected
 
 
-@given(spec=specs, n_max=st.integers(min_value=0, max_value=40))
-@settings(max_examples=80, deadline=None)
+@given(spec=specs, n_max=st.integers(min_value=0, max_value=60))
+@settings(max_examples=200, deadline=None)
 def test_column0_matches_naive_recursion(spec, n_max):
+    """catalan_like runs a P-recurrence on shorthand specs (integral ones in
+    ints, with an asserted zero remainder) and the rolling rows otherwise;
+    the top-down recursion and recursive_matrix are its references."""
     got = ml.catalan_like(spec, n_max)
     expected = naive_column0(spec.sigma, spec.tau, n_max)
     assert list(got) == expected
@@ -139,36 +151,6 @@ def test_column0_matches_naive_recursion(spec, n_max):
         ml.catalan_like(spec, -1)
     with pytest.raises(ValueError):
         ml.recursive_matrix(spec, -1)
-
-
-@given(p=small_rationals, s=small_rationals, q=nonzero_rationals, t=nonzero_rationals,
-       case=st.sampled_from(("any", "t = q", "p = s, t = q")),
-       n_max=st.integers(min_value=0, max_value=60))
-@settings(max_examples=150, deadline=None)
-def test_shorthand_recurrence_matches_rows(p, s, q, t, case, n_max):
-    """catalan_like runs a P-recurrence on shorthand specs; the rolling rows
-    are its reference.  t = q makes D(0) = 0, and p = s with t = q also
-    D'(0) = 0, each lowering the recurrence's order by one."""
-    if case != "any":
-        t = q
-    if case == "p = s, t = q":
-        p = s
-    spec = ml.make_spec(p, s, q, t)
-    expected = tuple(Fraction(row[0]) for row in _rows(spec, n_max))
-    assert ml.catalan_like(spec, n_max).values == expected
-
-
-@given(quad=st.tuples(st.integers(-9, 9), st.integers(-9, 9),
-                      st.integers(-9, 9).filter(bool), st.integers(-9, 9).filter(bool)),
-       equal=st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_integral_shorthand_recurrence_divides_exactly(quad, equal):
-    """Integral specs run in ints, dividing by 2 D_k0 (n + k0) with an
-    asserted zero remainder, far enough for the terms to grow large."""
-    p, s, q, t = quad
-    spec = ml.make_spec(p, s, q, q if equal else t)
-    expected = tuple(Fraction(row[0]) for row in _rows(spec, 150))
-    assert ml.catalan_like(spec, 150).values == expected
 
 
 def test_prefix_with_explicit_lists():
