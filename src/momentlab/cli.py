@@ -425,9 +425,26 @@ _HANDLERS = {
 }
 
 
+def _join_negative_values(argv) -> list:
+    """``--s -1/2`` as ``--s=-1/2`` for the rational options --p --s --q --t.
+
+    argparse takes a token that starts with '-' for an option unless it
+    reads as a plain negative number such as -1 or -0.5, so it would leave
+    --s without its value -1/2.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--p", "--s", "--q", "--t") and token[:1] == "-" \
+                and token[1:2].isdigit():
+            out[-1] += f"={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         report, code = _HANDLERS[args.command](args, parser)
         _emit(report, args.format, args.output)

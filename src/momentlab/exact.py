@@ -66,10 +66,13 @@ class Surd:
 
     ``Surd(a, b, r)`` returns the Fraction a + b*sqrt(r) when b == 0 or r
     is a square, so every Surd has b != 0 and a positive non-square
-    radicand r.  Arithmetic between two Surds requires equal radicands;
-    ints and Fractions mix freely, and floats not at all (ordering against
-    one raises TypeError).  Every arithmetic result is in the same normal
-    form: a Fraction when its radical part is 0, else a Surd.
+    radicand r.  Two Surds mix when they lie in one field, that is when
+    their radicands differ by a rational square factor (sqrt(12) and
+    sqrt(3)); the result keeps the left operand's radicand.  Other pairs
+    raise ValueError.  Ints and Fractions mix freely, and floats not at
+    all (ordering against one raises TypeError).  Every arithmetic result
+    is in the same normal form: a Fraction when its radical part is 0,
+    else a Surd.
     """
 
     __slots__ = ("a", "b", "r")
@@ -90,7 +93,18 @@ class Surd:
     # -- conversions ---------------------------------------------------
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(float(self.r))
+        """The double nearest the value (ties to even), like float(Fraction)."""
+        num, den = (self.b * self.b * self.r).as_integer_ratio()
+        sign, bits = (1 if self.b > 0 else -1), 64
+        while True:
+            # root < |b| sqrt(r) 2^bits < root + 1, strictly: b sqrt(r) is
+            # irrational, so the value lies strictly between the two ends,
+            # and once both round to one double it rounds there too
+            root = math.isqrt((num << 2 * bits) // den)
+            lo = float(self.a + Fraction(sign * root, 1 << bits))
+            if lo == float(self.a + Fraction(sign * (root + 1), 1 << bits)):
+                return lo
+            bits *= 2
 
     def __floor__(self) -> int:
         # floor(a) + sign(b) isqrt(floor(b^2 r)) is within 2 of the value
@@ -120,11 +134,18 @@ class Surd:
     # -- internals -----------------------------------------------------
 
     def _components(self, other):
-        """(a, b) of other in Q(sqrt(self.r)), or None for an unsupported type."""
+        """(a, b) of other in Q(sqrt(self.r)), or None for an unsupported type.
+
+        A Surd whose radicand is self.r times a rational square k^2 is
+        a + b k sqrt(self.r); any other radicand lies in another field.
+        """
         if isinstance(other, Surd):
-            if other.r != self.r:
+            if other.r == self.r:
+                return other.a, other.b
+            k = _exact_sqrt_of_fraction(other.r / self.r)
+            if k is None:
                 raise ValueError(f"incompatible radicands {self.r} and {other.r}")
-            return other.a, other.b
+            return other.a, other.b * k
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return Fraction(other), Fraction(0)
         return None
@@ -248,7 +269,8 @@ class Surd:
         return self._compare(other, operator.ge)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.r))
+        # b^2 r and the sign of b fix b sqrt(r) whatever the radicand
+        return hash((self.a, self.b * self.b * self.r, self.b > 0))
 
 
 def _normal(a: Fraction, b: Fraction, r: Fraction):
@@ -271,9 +293,3 @@ def _normal(a: Fraction, b: Fraction, r: Fraction):
 def is_exact(x) -> bool:
     """True for scalars that support exact arithmetic and ordering."""
     return isinstance(x, (int, Fraction, Surd))
-
-
-def sign_changes(values) -> int:
-    """Sign changes along a sequence of exact values, zeros dropped."""
-    signs = [v > 0 for v in values if v != 0]
-    return sum(p != q for p, q in zip(signs, signs[1:]))

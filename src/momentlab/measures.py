@@ -39,8 +39,8 @@ from typing import TYPE_CHECKING
 
 from ._record import Record
 from .errors import GNegative, InsufficientData, NonIntegrable, TooShort, UnknownName
-from .exact import Surd, ensure_fraction, is_exact, sign_changes
-from .orthopoly import _pdivmod, _ptrim
+from .exact import Surd, ensure_fraction, is_exact
+from .roots import horner, sturm_counter, trim, vanishing_order
 from .seqcore import Sequence
 
 if TYPE_CHECKING:  # imported at run time only where a witness is built
@@ -182,9 +182,10 @@ def quad(f, a: float, b: float, epsabs: float) -> float:
     A panel's value is the rule on its two halves, and its error the
     difference from the rule on the whole panel.  The panel with the
     largest error is bisected until the errors sum to at most
-    max(epsabs, _REL_TOL |integral|) or _MAX_PANELS panels are in use.
-    Nodes are interior, so f is never evaluated at a panel's ends.  A
-    non-finite sum raises NonIntegrable.
+    max(epsabs, _REL_TOL |integral|).  Nodes are interior, so f is never
+    evaluated at a panel's ends.  A non-finite sum raises NonIntegrable,
+    and errors that still sum above that target with _MAX_PANELS panels
+    in use raise ValueError: the estimate did not converge.
     """
     def rule(lo, hi):
         c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -200,9 +201,12 @@ def quad(f, a: float, b: float, epsabs: float) -> float:
         estimate = math.fsum(p[4] + p[5] for p in panels)
         if not math.isfinite(estimate):
             raise NonIntegrable(f"quadrature over ({a!r}, {b!r}) gave {estimate!r}")
-        if (math.fsum(p[0] for p in panels) <= max(epsabs, _REL_TOL * abs(estimate))
-                or len(panels) >= _MAX_PANELS):
+        error, target = math.fsum(p[0] for p in panels), max(epsabs, _REL_TOL * abs(estimate))
+        if error <= target:
             return estimate
+        if len(panels) >= _MAX_PANELS:
+            raise ValueError(f"quadrature over ({a!r}, {b!r}) did not converge: error "
+                             f"estimate {error:.3g} above {target:.3g} at {_MAX_PANELS} panels")
         worst = max(panels)
         panels.remove(worst)
         _, lo, mid, hi, left, right = worst
@@ -364,16 +368,12 @@ class TransformSpec(Record):
             object.__setattr__(self, "g", tuple(ensure_fraction(c) for c in self.g))
 
 
-def _degree(g) -> int:
-    """deg g, with the zero polynomial counted as degree 0."""
-    return max(len(_ptrim(g)) - 1, 0)
-
-
 def transform_length(transform: TransformSpec, n: int) -> int:
-    """Terms in the transform of an n-term sequence (<= 0 when it has none)."""
+    """Terms in the transform of an n-term sequence (<= 0 when it has none);
+    a zero g counts as degree 0."""
     if transform.kind == TransformSpec.SUBSEQUENCE:
         return len(range(transform.offset, n, transform.d))
-    return n - _degree(transform.g)
+    return n - max(len(trim(transform.g)) - 1, 0)
 
 
 def subsequence_transform(y, d: int, offset: int = 0) -> Sequence:
@@ -463,63 +463,40 @@ class GVerdict(Record):
         return self.status == self.CERTIFIED
 
 
-def _poly_eval(coeffs, x):
-    acc = coeffs[-1] if coeffs else 0
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
-
-
 def check_g_nonneg(g, a, b) -> GVerdict:
     """Decide g >= 0 on [a, b] exactly, by Sturm's theorem.
 
-    The remainder chain of g and g', divided by gcd(g, g'), is a Sturm chain
-    of g's squarefree part, so its sign changes at u minus those at v count
-    the distinct roots of g in (u, v].  [a, b] is bisected, never at a root,
-    until each closed piece holds at most one, so g < 0 somewhere exactly
-    when g < 0 at a piece endpoint, returned as the exact ``violation_x``.
+    ``roots.sturm_counter`` counts the distinct roots of g in (u, v] from
+    the Sturm chain of g's squarefree part.  [a, b] is bisected, never at
+    a root, until each closed piece holds at most one, so g < 0 somewhere
+    exactly when g < 0 at a piece endpoint, returned as the exact
+    ``violation_x``.
     Coefficients and endpoints must be exact.
     """
     if not (is_exact(a) and is_exact(b)):
         raise TypeError(f"interval endpoints must be exact, got {a!r}, {b!r}")
     if a > b:
         raise ValueError("need a <= b")
-    g = _ptrim(ensure_fraction(c) for c in g)
+    g = trim(ensure_fraction(c) for c in g)
     if not g:
         return GVerdict(GVerdict.CERTIFIED)
-    chain = [g, [k * c for k, c in enumerate(g)][1:]]
-    while chain[-1]:
-        chain.append([-c for c in _pdivmod(chain[-2], chain[-1])[1]])
-    chain = [_pdivmod(q, chain[-2])[0] for q in chain[:-1]]
-
-    def changes(x):
-        return sign_changes(_poly_eval(q, x) for q in chain)
-
+    changes = sturm_counter(g)
     for x in (a, b):
-        if _poly_eval(g, x) < 0:
+        if horner(g, x) < 0:
             return GVerdict(GVerdict.VIOLATED, x)
     pieces = [(a, changes(a), b, changes(b))]
     while pieces:
         u, cu, v, cv = pieces.pop()
-        if cu - cv + (_poly_eval(g, u) == 0) <= 1:
+        if cu - cv + (horner(g, u) == 0) <= 1:
             continue
         m = (u + v) / 2
-        while (gm := _poly_eval(g, m)) == 0:
+        while (gm := horner(g, m)) == 0:
             m = (u + m) / 2
         if gm < 0:
             return GVerdict(GVerdict.VIOLATED, m)
         cm = changes(m)
         pieces += [(u, cu, m, cm), (m, cm, v, cv)]
     return GVerdict(GVerdict.CERTIFIED)
-
-
-def _vanishing_order(coeffs, point):
-    """Multiplicity of an exact root at an exact point, by deflation."""
-    order, work = 0, _ptrim(coeffs)
-    while len(work) > 1 and _poly_eval(work, point) == 0:
-        work = _pdivmod(work, (-point, 1))[0]
-        order += 1
-    return order
 
 
 def linear_combination_transform(y, g, a, b, density: Density = None):
@@ -532,9 +509,9 @@ def linear_combination_transform(y, g, a, b, density: Density = None):
     the same interval, with endpoint exponents raised by the vanishing
     order of g there.
     """
-    coeffs = _ptrim(ensure_fraction(c) for c in g) or (Fraction(0),)
+    coeffs = trim(ensure_fraction(c) for c in g) or (Fraction(0),)
     vals = y.values if isinstance(y, Sequence) else tuple(y)
-    deg = _degree(coeffs)
+    deg = len(coeffs) - 1
     if len(vals) <= deg:
         raise InsufficientData("sequence shorter than the polynomial degree")
     if density is not None:
@@ -556,13 +533,13 @@ def transformed_density_linear(dens: Density, coeffs) -> Density:
     w = dens.weight
 
     def new_weight(x, _w=w, _f=fcoeffs):
-        return _poly_eval(_f, x) * _w(x)
+        return horner(_f, x) * _w(x)
 
     return dens.replace(
         label=f"g*{dens.label}",
         weight=new_weight,
-        left_exponent=dens.left_exponent + _vanishing_order(coeffs, dens.a_exact),
-        right_exponent=dens.right_exponent + _vanishing_order(coeffs, dens.b_exact),
+        left_exponent=dens.left_exponent + vanishing_order(coeffs, dens.a_exact),
+        right_exponent=dens.right_exponent + vanishing_order(coeffs, dens.b_exact),
     )
 
 

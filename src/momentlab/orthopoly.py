@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from fractions import Fraction
 
 from ._record import Record
 from .errors import InsufficientData, NotPositiveCase, QuasiDefiniteFailure
 from .exact import ensure_fraction, format_rational
+from .roots import horner, rounded_zeros, trim
 from .seqcore import SigmaTauSpec, _values
 
 __all__ = [
@@ -50,32 +50,13 @@ def _paxpy(alpha, a, b):
     return tuple(out)
 
 
-def _ptrim(c):
-    """Coefficients without trailing zeros; () is the zero polynomial."""
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pdivmod(num, den):
-    """Quotient and remainder of ascending coefficient lists; den is trimmed."""
-    rem = list(num)
-    quot = [0] * max(len(num) - len(den) + 1, 0)
-    for k in reversed(range(len(quot))):
-        c = quot[k] = rem[k + len(den) - 1] / den[-1]
-        for j, d in enumerate(den):
-            rem[k + j] -= c * d
-    return quot, _ptrim(rem[:len(den) - 1])
-
-
 class MonicPolynomial(Record):
     """Exact polynomial with leading coefficient 1, coefficients ascending."""
 
     coefficients: tuple
 
     def __post_init__(self):
-        coeffs = _ptrim(tuple(ensure_fraction(c) for c in self.coefficients))
+        coeffs = trim(tuple(ensure_fraction(c) for c in self.coefficients))
         if coeffs[-1:] != (1,):
             raise ValueError("leading coefficient must be exactly 1")
         object.__setattr__(self, "coefficients", coeffs)
@@ -86,10 +67,7 @@ class MonicPolynomial(Record):
 
     def __call__(self, x):
         """Horner evaluation; exact for exact x, float for float x."""
-        acc = self.coefficients[-1]
-        for c in reversed(self.coefficients[:-1]):
-            acc = acc * x + c
-        return acc
+        return horner(self.coefficients, x)
 
     def to_json(self) -> str:
         return json.dumps([format_rational(c) for c in self.coefficients])
@@ -203,20 +181,6 @@ def ops_determinantal(y, n: int) -> MonicPolynomial:
     return MonicPolynomial(tuple(coeffs))
 
 
-_SIGN = 1 << 63
-
-
-def _ordinal(x: float) -> int:
-    """Position of a double in the ordered set of doubles; 0.0 and -0.0 map to 0."""
-    bits, = struct.unpack("<Q", struct.pack("<d", x))
-    return bits if bits < _SIGN else _SIGN - bits
-
-
-def _double(o: int) -> float:
-    """Inverse of :func:`_ordinal`."""
-    return struct.unpack("<d", struct.pack("<Q", o if o >= 0 else _SIGN - o))[0]
-
-
 def _sturm_counter(spec: SigmaTauSpec, n: int):
     """x -> (number of zeros of P_n above x, whether P_n(x) = 0), exactly.
 
@@ -247,10 +211,8 @@ def _sturm_counter(spec: SigmaTauSpec, n: int):
 def _zeros(spec: SigmaTauSpec, n: int, wanted) -> list:
     """Correctly rounded zeros of P_n with the given ascending indices.
 
-    Bisection over the ordered doubles, starting from a Gershgorin bracket
-    of the Jacobi matrix that exact counts confirm.  Once a zero's bracket
-    is two neighbouring doubles, the exact count at their midpoint decides
-    the rounding (ties to even), so an exact zero comes back exactly.
+    ``roots.rounded_zeros`` bisects over the doubles from a Gershgorin
+    bracket of the Jacobi matrix that exact counts confirm.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -266,31 +228,7 @@ def _zeros(spec: SigmaTauSpec, n: int, wanted) -> list:
         lo, step = lo - step, 2 * step
     while count(hi)[0] > 0:
         hi, step = hi + step, 2 * step
-
-    wanted = set(wanted)
-    zeros = {}
-    # (lo, hi] as ordinals: zeros above lo, zeros above hi, whether P_n(hi) = 0
-    stack = [(_ordinal(lo), _ordinal(hi), n, *count(hi))]
-    while stack:
-        lo_o, hi_o, above_lo, above_hi, at_hi = stack.pop()
-        first = n - above_lo  # ascending index of the lowest zero in (lo, hi]
-        if not any(first <= j < n - above_hi for j in wanted):
-            continue
-        if hi_o - lo_o > 1:
-            # an exact zero at hi is cut off with its lower neighbour at once;
-            # otherwise split at 0.0 if the interval holds it, else halfway
-            mid_o = hi_o - 1 if at_hi else 0 if lo_o < 0 < hi_o else (lo_o + hi_o) // 2
-            above_mid, at_mid = count(_double(mid_o))
-            stack += [(lo_o, mid_o, above_lo, above_mid, at_mid),
-                      (mid_o, hi_o, above_mid, above_hi, at_hi)]
-            continue
-        lo, hi = _double(lo_o), _double(hi_o)
-        above_mid, at_mid = count((Fraction(lo) + Fraction(hi)) / 2)
-        below = above_lo - above_mid - at_mid  # zeros in (lo, mid), nearer lo
-        tie = lo if lo_o % 2 == 0 else hi
-        for j in range(first, n - above_hi):
-            zeros[j] = lo if j < first + below else tie if j < first + below + at_mid else hi
-    return [zeros[j] for j in sorted(wanted)]
+    return rounded_zeros(count, n, lo, hi, wanted)
 
 
 def ops_zeros(spec: SigmaTauSpec, n: int) -> list:

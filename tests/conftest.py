@@ -9,7 +9,8 @@ are the straightforward algorithms the library replaced: classification
 that decides every Hankel matrix by elimination order by order,
 definiteness witnesses by a second elimination on the original entries,
 recovery that squares the orthogonal polynomials, zeros as eigenvalues
-of the Jacobi matrix, and moments by scipy's adaptive quadrature.
+of the Jacobi matrix, moments by scipy's adaptive quadrature, and the
+g >= 0 decision as it stood before its helpers moved to one module.
 """
 
 from fractions import Fraction
@@ -413,6 +414,67 @@ def count_sign_changes(values):
     """Sign changes along exact values, zeros dropped."""
     signs = [v > 0 for v in values if v != 0]
     return sum(p != q for p, q in zip(signs, signs[1:]))
+
+
+def _ref_trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _ref_divmod(num, den):
+    rem = list(num)
+    quot = [0] * max(len(num) - len(den) + 1, 0)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = rem[k + len(den) - 1] / den[-1]
+        for j, d in enumerate(den):
+            rem[k + j] -= c * d
+    return quot, _ref_trim(rem[:len(den) - 1])
+
+
+def _ref_eval(coeffs, x):
+    acc = coeffs[-1] if coeffs else 0
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def reference_check_g_nonneg(g, a, b):
+    """``check_g_nonneg`` as it was written before its polynomial helpers
+    moved to ``momentlab.roots``: the remainder chain of g and g' divided
+    by their gcd, and the same bisection of [a, b], so the verdict and the
+    violation point must match it exactly."""
+    from momentlab.exact import ensure_fraction
+    from momentlab.measures import GVerdict
+
+    g = _ref_trim(ensure_fraction(c) for c in g)
+    if not g:
+        return GVerdict(GVerdict.CERTIFIED)
+    chain = [g, [k * c for k, c in enumerate(g)][1:]]
+    while chain[-1]:
+        chain.append([-c for c in _ref_divmod(chain[-2], chain[-1])[1]])
+    chain = [_ref_divmod(q, chain[-2])[0] for q in chain[:-1]]
+
+    def changes(x):
+        return count_sign_changes(_ref_eval(q, x) for q in chain)
+
+    for x in (a, b):
+        if _ref_eval(g, x) < 0:
+            return GVerdict(GVerdict.VIOLATED, x)
+    pieces = [(a, changes(a), b, changes(b))]
+    while pieces:
+        u, cu, v, cv = pieces.pop()
+        if cu - cv + (_ref_eval(g, u) == 0) <= 1:
+            continue
+        m = (u + v) / 2
+        while (gm := _ref_eval(g, m)) == 0:
+            m = (u + m) / 2
+        if gm < 0:
+            return GVerdict(GVerdict.VIOLATED, m)
+        cm = changes(m)
+        pieces += [(u, cu, m, cm), (m, cm, v, cv)]
+    return GVerdict(GVerdict.CERTIFIED)
 
 
 def jacobi_norm(spec, n):

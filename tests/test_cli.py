@@ -58,6 +58,26 @@ def test_gen_from_quadruple_csv(capsys):
     assert out == "1\n1\n2\n5\n14\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--p", "1", "--s", "-1/2", "--q", "1", "--t", "1", "--n", "3"),
+    ("gen", "--p", "-3/2", "--s", "-1/2", "--q", "1", "--t", "1", "--n", "3"),
+    ("ops", "--p", "-1/3", "--s", "1", "--q", "2/3", "--t", "1", "--deg", "2", "--zeros"),
+    ("support", "--p", "-1/2", "--s", "-1/3", "--q", "1", "--t", "2"),
+])
+def test_negative_rational_as_its_own_token(capsys, argv):
+    """--s -1/2 reads as --s=-1/2, which argparse alone would reject: it
+    takes a token that starts with '-' for an option unless it reads as a
+    plain negative number such as -1."""
+    joined, tokens = [], list(argv)
+    while tokens:
+        token = tokens.pop(0)
+        joined.append(f"{token}={tokens.pop(0)}" if token in ("--p", "--s", "--q", "--t")
+                      else token)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert (code, out) == run(capsys, *joined)[:2]
+
+
 def test_gen_unknown_name_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["gen", "--name", "bell", "--n", "4"])
@@ -151,6 +171,14 @@ def test_support_check_with_p_at_upper_endpoint_exits_1(capsys):
     assert (code, err) == (1, "")
     assert data["passed"] is False and data["s_bounds_ok"] is False
     assert data["right_chain"]["failure_index"] == 0
+
+
+@pytest.mark.xfail(strict=True, reason="support passes [s - 2 sqrt t, s + 2 sqrt t] = [0, 4] "
+                   "on the hypotheses alone; the exact measure's atoms are not computed yet")
+def test_support_does_not_pass_an_interval_without_the_atom(capsys):
+    # the measure of (4, 2; 1, 1) has the atom (3/4) delta_{9/2}: y_{n+1}/y_n -> 9/2
+    code, out, _ = run(capsys, "support", "--p", "4", "--s", "2", "--q", "1", "--t", "1")
+    assert code != 0 or json.loads(out)["interval"]["upper"]["approx"] >= 4.5
 
 
 def test_verify_pass(capsys):
@@ -314,6 +342,9 @@ def test_missing_input_file_exits_2(capsys):
      None, None),
     # --name and --input both name the sequence
     (("transform", "--name", "catalan", "--sub", "d=2", "--input"), b"[1, 1, 2, 5]", None),
+    # quadrature that does not converge in its 200 panels: the x^100
+    # pushforward of delannoy (its moments are exactly y_{100k})
+    (("transform", "--name", "delannoy", "--sub", "d=100", "--verify"), None, None),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, sequence_file, precision):
     if sequence_file is not None:
@@ -467,17 +498,17 @@ _CLI_BASE = ("momentlab", "momentlab._record", "momentlab.cli", "momentlab.error
     (("gen", "--name", "delannoy", "--n", "30"), 0, ()),
     (("gen", "--name", "catalan", "--n", "-1"), 2, ()),
     (("classify", "--m", "4", "--input", "seq.json", "--interval", "0,4"), 0, ("hankel",)),
-    (("ops", "--name", "catalan", "--deg", "5", "--zeros"), 0, ("orthopoly",)),
+    (("ops", "--name", "catalan", "--deg", "5", "--zeros"), 0, ("orthopoly", "roots")),
     (("support", "--p", "3", "--s", "3", "--q", "4", "--t", "2"), 0,
-     ("chainseq", "orthopoly")),
+     ("chainseq", "orthopoly", "roots")),
     (("support", "--p", "3", "--s", "3", "--q", "4", "--t", "2", "--check", "200"), 0,
-     ("chainseq", "orthopoly")),
-    (("verify", "--name", "motzkin", "--n", "8"), 0, ("measures", "orthopoly")),
+     ("chainseq", "orthopoly", "roots")),
+    (("verify", "--name", "motzkin", "--n", "8"), 0, ("measures", "roots")),
     (("transform", "--name", "delannoy", "--lincomb=0,1", "--verify"), 0,
-     ("measures", "orthopoly")),
-    (("transform", "--name", "catalan", "--sub", "d=2,l=0"), 0, ("measures", "orthopoly")),
+     ("measures", "roots")),
+    (("transform", "--name", "catalan", "--sub", "d=2,l=0"), 0, ("measures", "roots")),
     (("transform", "--name", "catalan", "--sub", "d=2,l=0", "--verify"), 0,
-     ("measures", "orthopoly")),
+     ("measures", "roots")),
     # a malformed sequence file exits 2 before classify imports hankel
     (("classify", "--m", "1", "--input", "bad.json"), 2, ()),
     # a bad MOMENTLAB_PRECISION (set by a leading VAR=value, as in a shell)

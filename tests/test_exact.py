@@ -78,6 +78,31 @@ def test_ordering_against_a_float_is_unsupported(compare):
 def test_incompatible_radicands():
     with pytest.raises(ValueError):
         Surd(0, 1, 2) + Surd(0, 1, 3)
+    with pytest.raises(ValueError):
+        sqrt_exact(8) < sqrt_exact(6)
+
+
+def test_surds_of_one_field_mix():
+    total = sqrt_exact(12) + sqrt_exact(3)
+    assert total == 3 * sqrt_exact(3) and str(total) == "3/2*sqrt(12)"
+    assert sqrt_exact(8) < 3 * sqrt_exact(2)
+    assert sqrt_exact(8) - 2 * sqrt_exact(2) == 0
+    assert type(sqrt_exact(8) - 2 * sqrt_exact(2)) is Fraction
+    assert sqrt_exact(Fraction(1, 2)) * sqrt_exact(2) == 1
+    assert len({sqrt_exact(8), 2 * sqrt_exact(2), Surd(0, 4, Fraction(1, 2))}) == 1
+
+
+@given(a=rationals, b=rationals, c=rationals, d=rationals.filter(bool), r=radicands,
+       k=st.sampled_from((Fraction(2), Fraction(1, 3), Fraction(5, 2))))
+def test_radicand_times_a_square_is_the_same_field(a, b, c, d, r, k):
+    """c + (d/k) sqrt(r k^2) is c + d sqrt(r): it compares, hashes and
+    computes alike, and a Surd on the left keeps its radicand."""
+    x, y, z = Surd(a, b, r), Surd(c, d / k, r * k * k), Surd(c, d, r)
+    assert y == z and hash(y) == hash(z) and str(y) != str(z)
+    assert (x < y, x == y, x > y) == (x < z, x == z, x > z)
+    for result, expected in ((x + y, x + z), (x - y, x - z), (x * y, x * z), (x / y, x / z)):
+        assert result == expected
+        assert str(result) == str(expected) or not isinstance(x, Surd)
 
 
 def test_ensure_fraction_rejects_floats():
@@ -90,6 +115,34 @@ def test_float_image_tracks_exact_value(a, b, r):
     x = Surd(a, b, r)
     approx = float(a) + float(b) * math.sqrt(float(r))
     assert float(x) == pytest.approx(approx, abs=1e-9)
+
+
+def rounds_to(x, f):
+    """Whether the double f is the one nearest the irrational x, exactly."""
+    below, above = math.nextafter(f, -math.inf), math.nextafter(f, math.inf)
+    return (Fraction(below) + Fraction(f)) / 2 < x < (Fraction(f) + Fraction(above)) / 2
+
+
+def test_float_is_correctly_rounded_under_cancellation():
+    # float(a) + float(b) * sqrt(float(r)) gives 0.1715728752538097 and,
+    # for 99 - 70 sqrt(2), a value thousands of ulps off
+    assert float(Surd(3, -2, 2)) == 0.1715728752538099
+    assert float(Surd(99, -70, 2)) == 0.005050633883346584
+    for a, b in ((3, -2), (99, -70), (3363, -2378), (114243, -80782), (665857, -470832)):
+        assert rounds_to(Surd(a, b, 2), float(Surd(a, b, 2)))
+
+
+@given(a=rationals, b=rationals.filter(bool), r=radicands, scale=st.integers(-40, 40))
+def test_float_is_correctly_rounded(a, b, r, scale):
+    x = Surd(a * Fraction(10) ** scale, b * Fraction(10) ** scale, r)
+    assert rounds_to(x, float(x))
+
+
+@given(n=st.integers(1, 10 ** 12), r=st.sampled_from((2, 3, 5, 10)))
+def test_float_is_correctly_rounded_near_zero(n, r):
+    # isqrt(n^2 r) - n sqrt(r) lies in (-1, 0): most of its digits cancel
+    x = Surd(math.isqrt(n * n * r), -n, r)
+    assert rounds_to(x, float(x))
 
 
 @given(a=rationals, b=rationals, c=rationals, d=rationals, r=radicands)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import momentlab as ml
 from momentlab import measures
-from conftest import poly_mul, reference_moment_quadrature
+from conftest import poly_mul, reference_check_g_nonneg, reference_moment_quadrature
 
 
 def test_density_catalog_metadata():
@@ -153,7 +153,8 @@ def test_float_exponent_needs_an_exact_fraction():
 def test_gauss_legendre_rule():
     """The 10-point rule integrates x^k exactly for k <= 19; the adaptive
     rule never evaluates at an end, even of a panel next to a singularity,
-    and a non-finite sum raises NonIntegrable."""
+    a non-finite sum raises NonIntegrable, and an estimate still above its
+    target at the panel cap raises ValueError instead of being returned."""
     for k in range(20):
         got = math.fsum(w * (x ** k + (-x) ** k) for x, w in measures._GAUSS)
         assert got == pytest.approx(2 / (k + 1) if k % 2 == 0 else 0.0, abs=1e-16)
@@ -163,6 +164,8 @@ def test_gauss_legendre_rule():
     assert 0.0 < min(seen) and max(seen) < 1.0
     with pytest.raises(ml.NonIntegrable):
         measures.quad(lambda x: math.inf, 0.0, 1.0, 1e-10)
+    with pytest.raises(ValueError, match="did not converge"):
+        measures.quad(lambda x: math.sin(1 / x), 0.0, 1.0, 1e-10)
 
 
 @pytest.mark.parametrize("name", ["catalan", "central_binomial", "motzkin",
@@ -346,6 +349,45 @@ def test_check_g_nonneg_matches_factorisation(case):
     if not verdict.ok:
         x = verdict.violation_x
         assert a <= x <= b and value(x) < 0
+
+
+@st.composite
+def g_on_exact_interval(draw):
+    """(g, a, b): a <= b rational or quadratic surds of one field, written
+    with radicands r0 k^2 for several k, and g a product of linear factors
+    and of the rational quadratics vanishing at a surd endpoint, sometimes
+    with one coefficient moved."""
+    r0 = draw(st.sampled_from((2, 3, 5)))
+    small = st.fractions(min_value=-2, max_value=6, max_denominator=6)
+
+    def endpoint():
+        a = draw(small)
+        if draw(st.booleans()):
+            return a
+        b = draw(st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(-1), Fraction(-2, 3))))
+        k = draw(st.sampled_from((Fraction(1), Fraction(2), Fraction(1, 3))))
+        return ml.Surd(a, b / k, r0 * k * k)
+
+    a, b = sorted((endpoint(), endpoint()))
+    g = [draw(st.sampled_from((Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5, 2))))]
+    for _ in range(draw(st.integers(0, 4))):
+        x = draw(st.sampled_from((a, b)) | small)
+        if isinstance(x, ml.Surd):  # (u - x)(u - conjugate of x)
+            g = poly_mul(g, [x.a * x.a - x.b * x.b * x.r, -2 * x.a, 1])
+        else:
+            g = poly_mul(g, [-x, 1])
+    if draw(st.booleans()):
+        g[draw(st.integers(0, len(g) - 1))] += draw(small) / 64
+    return g, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(g_on_exact_interval())
+def test_check_g_nonneg_matches_reference(case):
+    """The verdict and the exact violation point, written the same way, are
+    those of the reference check_g_nonneg."""
+    g, a, b = case
+    assert repr(ml.check_g_nonneg(g, a, b)) == repr(reference_check_g_nonneg(g, a, b))
 
 
 def test_linear_combination_catalan():
