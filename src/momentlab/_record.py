@@ -12,20 +12,40 @@ repr is ``QualName(field=value!r, ...)``; setting or deleting an
 attribute raises AttributeError; instances pickle; ``replace`` builds a
 copy with some fields changed, running ``__post_init__`` again.
 
-``hankel`` and ``chainseq`` keep ``@dataclass`` on purpose:
-``perfbench/workloads.py`` calls ``dataclasses.replace`` on
-``MomentClassReport`` (in the atomic_singular self-test, which every
-measuring worker runs) and on ``SupportReport`` (in support_verify), and
-that call fails on a Record.  So ``classify`` and
-``support`` processes still load ``dataclasses``.
+A record also answers the public ``dataclasses`` API: ``is_dataclass``,
+``fields``, ``replace``, ``asdict`` and ``astuple``.  Those functions only
+read the class attribute ``__dataclass_fields__``; on ``Record`` it is a
+non-data descriptor that, on first read, imports ``dataclasses``, builds a
+``make_dataclass`` twin of the record's fields (with their defaults) and
+caches the twin's field map on the record's class.  So only a process
+that itself calls into ``dataclasses`` pays for importing it, and
+``dataclasses.replace`` builds the copy through ``__init__``, running
+``__post_init__`` again.
 """
 
 from __future__ import annotations
 
 
+class _DataclassFields:
+    """``__dataclass_fields__``, built from a ``make_dataclass`` twin on first read."""
+
+    def __get__(self, instance, owner):
+        if owner is Record:  # caching on Record would hide every subclass's fields
+            raise AttributeError("Record itself has no fields")
+        import dataclasses
+
+        spec = [(name, owner.__annotations__[name],
+                 dataclasses.field(default=owner._defaults.get(name, dataclasses.MISSING)))
+                for name in owner._fields]
+        fields = dataclasses.make_dataclass(owner.__name__, spec).__dataclass_fields__
+        owner.__dataclass_fields__ = fields
+        return fields
+
+
 class Record:
     _fields = ()
     _defaults = {}
+    __dataclass_fields__ = _DataclassFields()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

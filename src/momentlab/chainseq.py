@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import HypothesisFailure, LengthMismatch, PoleAt, ZeroTau
 from .exact import ensure_fraction, format_rational, is_exact, sqrt_exact
 from .orthopoly import true_interval_estimate
@@ -72,8 +72,7 @@ def alpha_sequence(spec: SigmaTauSpec, x, n_max: int):
     return out
 
 
-@dataclass(frozen=True)
-class ChainVerdict:
+class ChainVerdict(Record):
     """Result of running the minimal parameter recursion.
 
     ``is_chain_up_to`` is the largest index n such that a_0 .. a_n were
@@ -160,8 +159,7 @@ def is_chain_with_parameters(a, g) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TailCertificate:
+class TailCertificate(Record):
     """Closed-form chain argument for a constant tail.
 
     For tail value c <= 1/4 the map g -> c / (1 - g) sends [0, g_plus]
@@ -203,8 +201,7 @@ def constant_tail_certificate(entry_parameter, tail_value) -> TailCertificate:
     return TailCertificate(bool(ok), c, entry_parameter, g_plus)
 
 
-@dataclass(frozen=True)
-class SupportCertificate:
+class SupportCertificate(Record):
     """The interval [s - 2 sqrt(t), s + 2 sqrt(t)] and its hypotheses.
 
     ``initial_parameter_ok`` records whether the closed-form head
@@ -298,8 +295,7 @@ def support_interval(p, s, q, t, strict: bool = True) -> SupportCertificate:
     )
 
 
-@dataclass(frozen=True)
-class SupportReport:
+class SupportReport(Record):
     """Verification record for one (p, s; q, t) support interval."""
 
     certificate: SupportCertificate

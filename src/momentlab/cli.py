@@ -425,16 +425,20 @@ _HANDLERS = {
 }
 
 
+_NUMERIC_OPTIONS = ("--p", "--s", "--q", "--t", "--interval", "--lincomb")
+
+
 def _join_negative_values(argv) -> list:
-    """``--s -1/2`` as ``--s=-1/2`` for the rational options --p --s --q --t.
+    """``--s -1/2`` as ``--s=-1/2`` for the options whose values are numbers:
+    the rationals --p --s --q --t and the lists --interval and --lincomb.
 
     argparse takes a token that starts with '-' for an option unless it
     reads as a plain negative number such as -1 or -0.5, so it would leave
-    --s without its value -1/2.
+    --s without its value -1/2 and --interval without -1,4.
     """
     out = []
     for token in argv:
-        if out and out[-1] in ("--p", "--s", "--q", "--t") and token[:1] == "-" \
+        if out and out[-1] in _NUMERIC_OPTIONS and token[:1] == "-" \
                 and token[1:2].isdigit():
             out[-1] += f"={token}"
         else:

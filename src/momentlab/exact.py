@@ -254,6 +254,10 @@ class Surd:
         return op(sign, 0)
 
     def __eq__(self, other):
+        # irrational numbers of two different fields are never equal
+        if (isinstance(other, Surd) and other.r != self.r
+                and _exact_sqrt_of_fraction(other.r / self.r) is None):
+            return False
         return self._compare(other, operator.eq)
 
     def __lt__(self, other):

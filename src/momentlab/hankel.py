@@ -38,9 +38,9 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import InsufficientData
 from .exact import Surd, ensure_fraction
 from .seqcore import Sequence, _values
@@ -61,8 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SymMatrix:
+class SymMatrix(Record):
     """A symmetric matrix over exact scalars (Fraction or Surd)."""
 
     rows: tuple
@@ -182,8 +181,7 @@ def _chebyshev(vals, n: int):
     return norms, alphas, row
 
 
-@dataclass(frozen=True)
-class PsdVerdict:
+class PsdVerdict(Record):
     """Outcome of an exact definiteness check.
 
     ``pivots`` carries the LDL^T pivot values (zeros padded for a rank
@@ -402,8 +400,7 @@ def hausdorff_combination(y, a, b, m: int) -> SymMatrix:
     return hankel_matrix(_combination_sequence(vals, a, b, 2 * m + 1), m)
 
 
-@dataclass(frozen=True)
-class HausdorffVerdict:
+class HausdorffVerdict(Record):
     """Verdicts for H_m(y) and the interval combination matrix."""
 
     base: PsdVerdict
@@ -428,8 +425,7 @@ def hausdorff_test(y, a, b, m: int) -> HausdorffVerdict:
     return HausdorffVerdict(base, combo)
 
 
-@dataclass(frozen=True)
-class MomentClassReport:
+class MomentClassReport(Record):
     """Per-order Hankel verdicts and the orders each criterion survived.
 
     ``*_ok_up_to`` is the largest order k such that every check of that

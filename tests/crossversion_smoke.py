@@ -3,16 +3,18 @@
     python tests/crossversion_smoke.py
 
 Runs every argv of ``tests/cli_golden.json`` through ``momentlab.cli.main``
-and compares exit code and stdout with the recorded ones, then starts one
-process per subcommand and checks which of ``dataclasses`` and ``inspect``
-it loads: only ``classify`` and ``support`` may, because the hankel and
-chainseq records stay dataclasses, and ``classify`` not on a malformed
-sequence file.  Prints each mismatch and exits 1 if
-there is one.  pytest runs the same checks as ``test_cli_matches_golden``
-and ``test_each_subcommand_loads_only_its_layers``.
+and compares exit code and stdout with the recorded ones; starts one
+process per subcommand and checks that none loads ``dataclasses`` or
+``inspect``; and calls ``dataclasses.replace`` on a ``MomentClassReport``
+and a ``SupportReport``, whose ``__dataclass_fields__`` the records build
+only on that first call.  Prints each mismatch and exits 1 if there is
+one.  pytest runs the same checks as ``test_cli_matches_golden``,
+``test_each_subcommand_loads_only_its_layers`` and
+``test_dataclasses_api_on_every_record``.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -25,6 +27,7 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 sys.path.insert(0, str(SRC))
 
+from momentlab import chainseq, hankel, seqcore  # noqa: E402
 from momentlab.cli import main  # noqa: E402
 
 PROBE = """
@@ -36,14 +39,12 @@ except SystemExit as exc:
     code = exc.code
 print(code, sorted({"dataclasses", "inspect"} & set(sys.modules)))
 """
-DATACLASSES = ["dataclasses", "inspect"]
 PROBES = [
     (("gen", "--name", "delannoy", "--n", "30"), 0, []),
     (("gen", "--name", "catalan", "--n", "-1"), 2, []),
-    (("classify", "--m", "4", "--input", "seq.json", "--interval", "0,4"), 0, DATACLASSES),
+    (("classify", "--m", "4", "--input", "seq.json", "--interval", "0,4"), 0, []),
     (("ops", "--name", "catalan", "--deg", "5", "--zeros"), 0, []),
-    (("support", "--p", "3", "--s", "3", "--q", "4", "--t", "2", "--check", "200"), 0,
-     DATACLASSES),
+    (("support", "--p", "3", "--s", "3", "--q", "4", "--t", "2", "--check", "200"), 0, []),
     (("verify", "--name", "motzkin", "--n", "8"), 0, []),
     (("transform", "--name", "delannoy", "--lincomb=0,1", "--verify"), 0, []),
     (("transform", "--name", "catalan", "--sub", "d=2,l=0", "--verify"), 0, []),
@@ -85,9 +86,22 @@ def probe_mismatches(workdir):
             yield f"probe: {' '.join(argv)}: {status!r}, expected '{code} {loaded}'"
 
 
+def replace_mismatches():
+    _, catalan = seqcore.catalog_sequence("catalan", 12)
+    classified = hankel.classify(catalan, 4, interval=(0, 4))
+    support = chainseq.certify_support(seqcore.make_spec(3, 3, 4, 2), n_check=20)
+    for record, field, value in ((classified, "hamburger_ok_up_to", 3),
+                                 (support, "s_bounds_ok", not support.s_bounds_ok)):
+        copy = dataclasses.replace(record, **{field: value})
+        back = dataclasses.replace(copy, **{field: getattr(record, field)})
+        if type(copy) is not type(record) or getattr(copy, field) != value or back != record:
+            yield f"replace: {type(record).__name__}.{field}: got {getattr(copy, field)!r}"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        problems = [*golden_mismatches(Path(tmp)), *probe_mismatches(Path(tmp))]
+        problems = [*golden_mismatches(Path(tmp)), *probe_mismatches(Path(tmp)),
+                    *replace_mismatches()]
     for problem in problems:
         print(problem)
     print(f"Python {sys.version.split()[0]}: {len(problems)} mismatches")

@@ -63,15 +63,21 @@ def test_gen_from_quadruple_csv(capsys):
     ("gen", "--p", "-3/2", "--s", "-1/2", "--q", "1", "--t", "1", "--n", "3"),
     ("ops", "--p", "-1/3", "--s", "1", "--q", "2/3", "--t", "1", "--deg", "2", "--zeros"),
     ("support", "--p", "-1/2", "--s", "-1/3", "--q", "1", "--t", "2"),
+    ("classify", "--input", "s.json", "--m", "2", "--interval", "-1,4"),
+    ("transform", "--name", "hexagonal", "--n", "6", "--lincomb", "-1,1", "--interval", "1,5"),
 ])
-def test_negative_rational_as_its_own_token(capsys, argv):
-    """--s -1/2 reads as --s=-1/2, which argparse alone would reject: it
-    takes a token that starts with '-' for an option unless it reads as a
-    plain negative number such as -1."""
+def test_negative_rational_as_its_own_token(capsys, tmp_path, monkeypatch, argv):
+    """--s -1/2 reads as --s=-1/2, and --interval -1,4 as --interval=-1,4,
+    which argparse alone would reject: it takes a token that starts with '-'
+    for an option unless it reads as a plain negative number such as -1."""
+    monkeypatch.chdir(tmp_path)
+    # the moments 1/(k+1) of the uniform measure on [0, 1]
+    (tmp_path / "s.json").write_text(ml.Sequence([Fraction(1, k + 1) for k in range(7)]).to_json())
     joined, tokens = [], list(argv)
     while tokens:
         token = tokens.pop(0)
-        joined.append(f"{token}={tokens.pop(0)}" if token in ("--p", "--s", "--q", "--t")
+        joined.append(f"{token}={tokens.pop(0)}"
+                      if token in ("--p", "--s", "--q", "--t", "--interval", "--lincomb")
                       else token)
     code, out, err = run(capsys, *argv)
     assert code == 0, err
@@ -526,11 +532,8 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, argv, code, layers):
     proc = run_process(("-c", _MOMENTLAB_LOADED, *argv), precision=precision, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     *_, status, loaded = proc.stdout.splitlines()
-    # hankel and chainseq records stay dataclasses, because perfbench calls
-    # dataclasses.replace on MomentClassReport and SupportReport; so only
-    # classify and support load dataclasses, and with it inspect
-    stdlib = ["dataclasses", "inspect"] if {"hankel", "chainseq"} & set(layers) else []
-    assert status == f"{code} {stdlib}"
+    # every record is a Record, which loads dataclasses only when asked
+    assert status == f"{code} []"
     assert loaded == str(sorted(_CLI_BASE + tuple(f"momentlab.{m}" for m in layers)))
 
 

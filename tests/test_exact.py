@@ -1,6 +1,7 @@
 """Quadratic surd arithmetic and ordering."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,18 @@ def test_incompatible_radicands():
         Surd(0, 1, 2) + Surd(0, 1, 3)
     with pytest.raises(ValueError):
         sqrt_exact(8) < sqrt_exact(6)
+
+
+@pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_surds_of_two_fields_are_unequal_but_do_not_order(compare):
+    """Irrationals of two different fields are never equal, so == and !=
+    answer; an ordering would need both fields, so it still raises."""
+    x, y = sqrt_exact(2), 1 + sqrt_exact(3)
+    assert x != y and not x == y and y != x and not y == x
+    assert x not in [y, sqrt_exact(6)] and len({x, y, sqrt_exact(8) / 2}) == 2
+    assert {x: 1, y: 2}[sqrt_exact(8) / 2] == 1
+    with pytest.raises(ValueError):
+        compare(x, y)
 
 
 def test_surds_of_one_field_mix():

@@ -1,10 +1,15 @@
 """The frozen-record contract: each Record class behaves like the
-``@dataclass(frozen=True)`` it replaced.  The repr strings are the ones the
-dataclass versions printed."""
+``@dataclass(frozen=True)`` it replaced, including under the ``dataclasses``
+functions.  The repr strings are the ones the dataclass versions printed."""
 
+import dataclasses
 import math
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,16 @@ from momentlab.cli import _OpsReport
 from momentlab.measures import GVerdict, RepresentationReport
 
 _CATALAN = ml.make_spec(0, 2, 1, 1)
+
+_MOTZKIN_CERTIFICATE = (
+    "SupportCertificate(p=Fraction(1, 1), s=Fraction(1, 1), q=Fraction(1, 1), "
+    "t=Fraction(1, 1), lower=Fraction(-1, 1), upper=Fraction(3, 1), p_above_lower=True, "
+    "q_below_upper=True, t_below_upper=True, stieltjes_flag=False, g0=Fraction(1, 2), "
+    "initial_parameter_ok=True)")
+_MOTZKIN_CHAIN = ("ChainVerdict(is_chain_up_to=2, parameters=(Fraction(0, 1), Fraction(1, 4), "
+                  "Fraction(1, 3), Fraction(3, 8)), failure_index=None)")
+_MOTZKIN_TAIL = ("TailCertificate(ok=True, tail_value=Fraction(1, 4), "
+                 "entry_parameter=Fraction(1, 4), bound=Fraction(1, 2))")
 
 # (build, repr): build() returns a fresh instance each call
 CASES = [
@@ -48,6 +63,37 @@ CASES = [
      "sigma_tail=Fraction(2, 1), tau_prefix=(Fraction(1, 1),), tau_tail=Fraction(1, 1), "
      "label=''), polys=(MonicPolynomial(coefficients=(Fraction(1, 1),)),), "
      "zeros=(2.0,), extreme=(2.0, 2.0))"),
+    (lambda: ml.SymMatrix(((1, Fraction(1, 2)), (Fraction(1, 2), 1))),
+     "SymMatrix(rows=((1, Fraction(1, 2)), (Fraction(1, 2), 1)))"),
+    (lambda: ml.psd_status(ml.SymMatrix(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))))),
+     "PsdVerdict(status='indefinite', pivots=None, witness=(Fraction(-2, 1), Fraction(1, 1)))"),
+    (lambda: ml.hausdorff_test((1, 1, 2), 0, 4, 0),
+     "HausdorffVerdict(base=PsdVerdict(status='positive_definite', pivots=(Fraction(1, 1),), "
+     "witness=None), combination=PsdVerdict(status='positive_definite', "
+     "pivots=(Fraction(2, 1),), witness=None))"),
+    (lambda: ml.classify((1, 0, 1, 0, 1), 1, interval=(0, 1)),
+     "MomentClassReport(max_order=1, hamburger_ok_up_to=1, stieltjes_ok_up_to=0, "
+     "delta_values=(Fraction(1, 1), Fraction(1, 1)), "
+     "hamburger_status=('positive_definite', 'positive_definite'), "
+     "shifted_status=('positive_semidefinite_singular', 'indefinite'), "
+     "stieltjes_checked_up_to=1, hausdorff_interval=(Fraction(0, 1), Fraction(1, 1)), "
+     "hausdorff_ok_up_to=-1, hausdorff_checked_up_to=1, hausdorff_status=('fail',), "
+     "determinate=False, failure_witnesses=(('stieltjes-shifted', 1, "
+     "PsdVerdict(status='indefinite', pivots=None, witness=(Fraction(1, 1), Fraction(-1, 1)))), "
+     "('hausdorff', 0, PsdVerdict(status='indefinite', pivots=None, "
+     "witness=(Fraction(1, 1),)))))"),
+    (lambda: ml.minimal_parameters((Fraction(1, 4), Fraction(1, 4), 1)),
+     "ChainVerdict(is_chain_up_to=1, parameters=(Fraction(0, 1), Fraction(1, 4), "
+     "Fraction(1, 3), Fraction(3, 2)), failure_index=2)"),
+    (lambda: ml.constant_tail_certificate(Fraction(1, 2), Fraction(1, 4)),
+     "TailCertificate(ok=True, tail_value=Fraction(1, 4), entry_parameter=Fraction(1, 2), "
+     "bound=Fraction(1, 2))"),
+    (lambda: ml.support_interval(1, 1, 1, 1), _MOTZKIN_CERTIFICATE),
+    (lambda: ml.certify_support(ml.make_spec(1, 1, 1, 1), n_check=2),
+     f"SupportReport(certificate={_MOTZKIN_CERTIFICATE}, n_check=2, s_bounds_ok=True, "
+     f"left_chain={_MOTZKIN_CHAIN}, left_tail={_MOTZKIN_TAIL}, "
+     f"right_chain={_MOTZKIN_CHAIN}, right_tail={_MOTZKIN_TAIL}, "
+     "zeros_interval=(-0.9962066574740882, 2.996206657474088), zeros_ok=True)"),
 ]
 IDS = [text.split("(", 1)[0] for _, text in CASES]
 
@@ -152,3 +198,74 @@ def test_defaults_and_constants():
     assert "_ORIGINS" not in ml.Sequence._fields
     with pytest.raises(TypeError, match="follows a default field"):
         type("Bad", (Record,), {"__annotations__": {"a": "int", "b": "int"}, "a": 0})
+
+
+def _plain(value):
+    """What ``dataclasses.asdict`` should give: records as dicts, recursively."""
+    if isinstance(value, Record):
+        return {name: _plain(getattr(value, name)) for name in value._fields}
+    if isinstance(value, tuple):
+        return tuple(_plain(item) for item in value)
+    return value
+
+
+@pytest.mark.parametrize("build,text", CASES, ids=IDS)
+def test_dataclasses_api_on_every_record(build, text):
+    record = build()
+    cls = type(record)
+    assert dataclasses.is_dataclass(record) and dataclasses.is_dataclass(cls)
+    assert tuple(f.name for f in dataclasses.fields(record)) == cls._fields
+    assert {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING} == cls._defaults
+    assert dataclasses.asdict(record) == _plain(record)
+    first = cls._fields[0]
+    copy = dataclasses.replace(record, **{first: getattr(record, first)})
+    assert type(copy) is cls and copy == record and repr(copy) == text
+    assert not dataclasses.is_dataclass(Record)
+
+
+def test_dataclasses_replace_runs_post_init_again():
+    seq = dataclasses.replace(ml.Sequence((1, 2), label="s"), values=(3, "1/2"))
+    assert seq == ml.Sequence((3, Fraction(1, 2)), label="s")
+    assert all(type(v) is Fraction for v in seq.values)
+    with pytest.raises(ValueError, match="asymmetric"):
+        dataclasses.replace(ml.SymMatrix(((1, 2), (2, 1))), rows=((1, 2), (3, 1)))
+    report = ml.classify((1, 0, 1, 0, 1), 1, interval=(0, 1))
+    lowered = dataclasses.replace(report, hamburger_ok_up_to=0)
+    assert lowered.hamburger_ok_up_to == 0
+    assert lowered == report.replace(hamburger_ok_up_to=0) != report
+    support = ml.certify_support(ml.make_spec(1, 1, 1, 1), n_check=2)
+    broken = dataclasses.replace(support, s_bounds_ok=False)
+    assert support.passed and not broken.passed
+    assert dataclasses.replace(broken, s_bounds_ok=True) == support
+
+
+_RECORDS_WITHOUT_DATACLASSES = """
+import sys
+from fractions import Fraction
+import momentlab.chainseq as chainseq
+import momentlab.hankel as hankel
+from momentlab import seqcore
+
+def build():
+    _, catalan = seqcore.catalog_sequence("catalan", 12)
+    return (hankel.classify(catalan, 4, interval=(0, 4)),
+            hankel.classify((1, 0, 1, 0, 1), 1, interval=(0, 1)),
+            hankel.hausdorff_test(catalan, 0, 4, 2),
+            chainseq.constant_tail_certificate(Fraction(1, 2), Fraction(1, 4)),
+            chainseq.certify_support(seqcore.make_spec(3, 3, 4, 2), n_check=20))
+
+records = build()
+assert records == build() and hash(records) == hash(build())
+assert records[0] != records[1] and records[0].replace() == records[0]
+assert repr(records) == repr(build())
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+def test_hankel_and_chainseq_records_leave_dataclasses_unloaded(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(ml.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _RECORDS_WITHOUT_DATACLASSES], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
