@@ -30,6 +30,11 @@ quadratic field when interval endpoints are irrational) then runs once,
 at the first order that is not PSD: its multipliers give a witness v
 with v^T H v < 0 by back-substitution.  Determinants past a Hamburger
 failure come from fraction-free (Bareiss) elimination.
+
+Rational data is multiplied once by the lcm of its denominators, so the
+recursion (in its fraction-free form), the minor cross-check and Bareiss
+all run on plain integers with exact divisions; only data holding an
+irrational Surd runs them over its field.
 """
 
 from __future__ import annotations
@@ -115,11 +120,27 @@ def hankel_matrix(y, m: int, shift: int = 0) -> SymMatrix:
     ))
 
 
-def bareiss_det(rows):
-    """Fraction-free determinant (Bareiss elimination), exact."""
+def _scaled(values):
+    """``(ints, D)`` with ints[i] = D * values[i] and D the lcm of the
+    denominators, when every value is an int or a Fraction; else None.
+
+    Multiplying by D > 0 scales every k x k minor by D^k and keeps each
+    sign, so rational Hankel data is decided on one integer copy.
+    """
+    den = 1
+    for x in values:
+        if isinstance(x, Fraction):
+            d = x.denominator
+            if d != 1:
+                den = den // math.gcd(den, d) * d
+        elif not isinstance(x, int):
+            return None
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _field_bareiss(rows):
+    """Fraction-free elimination over a field, for data holding a Surd."""
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
     M = [list(r) for r in rows]
     zero = Fraction(0)
     sign = 1
@@ -142,13 +163,33 @@ def bareiss_det(rows):
     return -out if sign < 0 else out
 
 
+def bareiss_det(rows):
+    """The determinant by fraction-free (Bareiss) elimination, exactly.
+
+    Rational entries (ints and Fractions) are scaled once by the lcm D of
+    their denominators; ``_int_bareiss`` eliminates the integer copy and
+    the result is det / D^n, a Fraction.  Entries holding a Surd are
+    eliminated over their field.  A non-square matrix raises ValueError.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    if n == 0:
+        return Fraction(1)
+    scaled = _scaled([x for row in rows for x in row])
+    if scaled is None:
+        return _field_bareiss(rows)
+    ints, den = scaled
+    return Fraction(_int_bareiss([ints[i:i + n] for i in range(0, n * n, n)]), den ** n)
+
+
 def hankel_det(y, m: int):
     """The Hankel determinant det H_m(y), exactly."""
     return bareiss_det(hankel_matrix(y, m).rows)
 
 
 def _chebyshev(vals, n: int):
-    """Chebyshev's algorithm over exact scalars, O(n * len(vals)).
+    """Chebyshev's algorithm on exact data, O(n * len(vals)) operations.
 
     For the functional L[x^l] = vals[l] it builds the rows
     sigma_{k,l} = L[P_k x^l] of the monic orthogonal polynomials P_k
@@ -156,11 +197,58 @@ def _chebyshev(vals, n: int):
     ``(norms, alphas, row)``: norms[k] = L[P_k^2] = delta_k / delta_{k-1}
     for k = 0..n, alphas[k] = s_k, the recurrence coefficient
     L[x P_k^2] / L[P_k^2], for each k the data reach (2k+2 values), and
-    row = sigma_{r,l} for l < len(vals) - r at the last index
-    r = len(norms) - 1.  All three stop after the first zero norm, beyond
-    which P_{r+1} does not exist.  Needs len(vals) >= 2n+1; only + - * /
-    and comparisons are used, so Fraction and Surd values both work.
+    row[l] for l < len(vals) - r at the last index r = len(norms) - 1.
+    All three stop after the first zero norm, beyond which P_{r+1} does
+    not exist.  Needs len(vals) >= 2n+1.
+
+    Rational data runs fraction-free on one integer copy (``_scaled``,
+    ``_int_chebyshev``): norms and alphas are the same Fractions, and the
+    row is sigma_{r,l} times a positive factor, which keeps every sign and
+    zero that ``_scan`` reads.  Data holding a Surd runs
+    ``_field_chebyshev``, whose row is sigma_{r,l} itself.
     """
+    scaled = _scaled(vals)
+    if scaled is None:
+        return _field_chebyshev(vals, n)
+    return _int_chebyshev(*scaled, n)
+
+
+def _int_chebyshev(ints, den: int, n: int):
+    """``_chebyshev`` on ints = den * y, in integer arithmetic.
+
+    The row T_{k,l} = Delta_{k-1} sigma_{k,l} of the integer data is a
+    bordered Hankel determinant, hence an integer, and with
+    Delta_k = T_{k,k} (Delta_{-1} = 1, T_{-1,l} = 0) it satisfies
+    T_{k+1,l} = [Delta_{k-1} (Delta_k T_{k,l+1} - T_{k,k+1} T_{k,l})
+                 + Delta_k (T_{k-1,k} T_{k,l} - Delta_k T_{k-1,l})] / Delta_{k-1}^2,
+    whose division is exact.  For y itself N_k = Delta_k / (den Delta_{k-1})
+    and s_k = T_{k,k+1} / Delta_k - T_{k-1,k} / Delta_{k-1}.
+    """
+    size = len(ints)
+    prev, row = [0] * size, ints
+    d_prev = 1
+    norms, alphas = [], []
+    for k in range(n + 1):
+        d = row[k]
+        norms.append(Fraction(d, d_prev * den))
+        if d == 0 or 2 * k + 2 > size:
+            break
+        a, b = d_prev * d, d * prev[k] - d_prev * row[k + 1]
+        alphas.append(Fraction(-b, a))
+        if k == n:
+            break
+        c, e = d * d, d_prev * d_prev
+        prev, row = row, [0] * (k + 1) + [
+            (a * row[l + 1] + b * row[l] - c * prev[l]) // e
+            for l in range(k + 1, size - k - 1)]
+        d_prev = d
+    # row = den Delta_{r-1} sigma_{r,l}: make the factor positive
+    return norms, alphas, row if d_prev > 0 else [-x for x in row]
+
+
+def _field_chebyshev(vals, n: int):
+    """``_chebyshev`` over the field of the values, with only + - * / and
+    comparisons; the row is sigma_{r,l} itself."""
     zero = Fraction(0)
     size = len(vals)
     prev, row = [zero] * size, list(vals)
@@ -242,32 +330,17 @@ def _int_bareiss(M):
 def _all_principal_minors_nonneg(rows):
     """Exhaustive principal-minor check; returns (ok, failing_subset, value).
 
-    Rational matrices are rescaled by the common denominator first: a
-    positive scaling multiplies every k-minor by a positive constant, so
-    signs survive and the determinants run over plain integers.
+    ``_scan`` passes rational data as its integer copy (see ``_scaled``),
+    whose minors keep their signs and run through ``_int_bareiss``; other
+    exact rows go through ``bareiss_det``.
     """
     n = len(rows)
-    if all(isinstance(rows[i][j], Fraction) for i in range(n) for j in range(n)):
-        den = 1
-        for i in range(n):
-            for j in range(i, n):
-                d = rows[i][j].denominator
-                den //= math.gcd(den, d)
-                den *= d
-        scaled = [[int(rows[i][j] * den) for j in range(n)] for i in range(n)]
-        for size in range(1, n + 1):
-            for subset in itertools.combinations(range(n), size):
-                minor = [[scaled[i][j] for j in subset] for i in subset]
-                if _int_bareiss(minor) < 0:
-                    sub = [[rows[i][j] for j in subset] for i in subset]
-                    return False, subset, bareiss_det(sub)
-        return True, None, None
+    det = _int_bareiss if all(type(x) is int for row in rows for x in row) else bareiss_det
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
-            minor = [[rows[i][j] for j in subset] for i in subset]
-            d = bareiss_det(minor)
-            if d < 0:
-                return False, subset, d
+            value = det([[rows[i][j] for j in subset] for i in subset])
+            if value < 0:
+                return False, subset, value
     return True, None, None
 
 
@@ -305,10 +378,12 @@ def psd_status(M: SymMatrix) -> PsdVerdict:
     back-substitution through the same elimination's multipliers.  When
     the remaining Schur block is exactly zero, the elimination itself is
     the certificate: M = P L D L^T P^T with D = diag(pivots) >= 0, so M
-    is PSD, and singular when fewer pivots than rows were taken.
+    is PSD, and singular when fewer pivots than rows were taken.  Int
+    entries are taken as Fractions, so the elimination never divides in
+    floats.
     """
     n = M.order + 1
-    rows = [list(r) for r in M.rows]
+    rows = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in M.rows]
     zero = Fraction(0)
     remaining = list(range(n))
     chosen = []
@@ -521,8 +596,17 @@ def _scan(vals, n: int):
     _MINOR_FALLBACK_LIMIT rows is cross-checked by exhaustive principal
     minors, and a disagreement raises RuntimeError.  ``psd_status`` runs
     once, at the first order that is not PSD, for its witness.
+
+    Rational vals are scaled once to integers (``_scaled``): the
+    fraction-free recurrence and the minor cross-check both run on that
+    copy, whose minors and row entries keep their signs.  Vals holding a
+    Surd run both over their field.
     """
-    norms, _, sigma = _chebyshev(vals, n)
+    scaled = _scaled(vals)
+    if scaled is None:
+        data, (norms, _, sigma) = vals, _field_chebyshev(vals, n)
+    else:
+        data, (norms, _, sigma) = scaled[0], _int_chebyshev(*scaled, n)
     r = 0
     while r < len(norms) and norms[r] > 0:
         r += 1
@@ -539,7 +623,7 @@ def _scan(vals, n: int):
             k += 1
         for j in range(r, min(k, _MINOR_FALLBACK_LIMIT - 1) + 1):
             ok, subset, value = _all_principal_minors_nonneg(
-                [vals[i:i + j + 1] for i in range(j + 1)])
+                [data[i:i + j + 1] for i in range(j + 1)])
             if not ok:
                 raise RuntimeError(f"internal disagreement at order {j}: "
                                    f"minor {subset} = {value} negative")
@@ -567,9 +651,13 @@ def classify(y, m: int, interval=None) -> MomentClassReport:
     sequence decides every order, and one elimination per family builds
     the failure witness; see ``_scan``.  delta_k is the product of the
     norms up to the first zero norm, 0 for every PSD order past it, and a
-    Bareiss determinant only for orders past a Hamburger failure.
-    Interval endpoints are coerced like sequence entries, so a float
-    endpoint raises TypeError.
+    Bareiss determinant only for orders past a Hamburger failure.  Each
+    rational sequence among the three runs in integer arithmetic on one
+    scaled copy, and so do the Bareiss determinants of rational data;
+    only a combination sequence with irrational entries (an interval
+    such as [0, s + 2 sqrt(t)]) runs over Q(sqrt(t)).  Interval endpoints
+    are coerced like sequence entries, so a float endpoint raises
+    TypeError.
     """
     if m < 0:
         raise ValueError("order must be >= 0")

@@ -7,10 +7,11 @@ expansion (the library uses fraction-free elimination), and the closed
 forms come straight from classical formulas.  The references at the end
 are the straightforward algorithms the library replaced: classification
 that decides every Hankel matrix by elimination order by order,
-definiteness witnesses by a second elimination on the original entries,
-recovery that squares the orthogonal polynomials, zeros as eigenvalues
-of the Jacobi matrix, moments by scipy's adaptive quadrature, and the
-g >= 0 decision as it stood before its helpers moved to one module.
+Chebyshev's recursion over the field of the data, definiteness
+witnesses by a second elimination on the original entries, recovery
+that squares the orthogonal polynomials, zeros as eigenvalues of the
+Jacobi matrix, moments by scipy's adaptive quadrature, and the g >= 0
+decision as it stood before its helpers moved to one module.
 """
 
 from fractions import Fraction
@@ -277,6 +278,30 @@ def reference_classify(y, m, interval=None):
         determinate=determinate,
         failure_witnesses=tuple(failures),
     )
+
+
+def reference_chebyshev(vals, n):
+    """``hankel._chebyshev`` as it ran on every input before rational data
+    moved to integers: the field recursion on sigma_{k,l} = L[P_k x^l]
+    itself, returning ``(norms, alphas, row)``."""
+    zero = Fraction(0)
+    size = len(vals)
+    prev, row = [zero] * size, list(vals)
+    norms, alphas = [], []
+    for k in range(n + 1):
+        norm = row[k]
+        norms.append(norm)
+        if norm == 0 or 2 * k + 2 > size:
+            break
+        alpha = row[k + 1] / norm - (prev[k] / norms[k - 1] if k else zero)
+        beta = norm / norms[k - 1] if k else zero
+        alphas.append(alpha)
+        if k == n:
+            break
+        prev, row = row, [zero] * (k + 1) + [
+            row[l + 1] - alpha * row[l] - beta * prev[l]
+            for l in range(k + 1, size - k - 1)]
+    return norms, alphas, row
 
 
 def _solve_exact(A, b):

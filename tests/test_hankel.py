@@ -11,6 +11,7 @@ from conftest import (
     cofactor_det,
     examples,
     principal_minors_nonneg,
+    reference_chebyshev,
     reference_classify,
     reference_psd_status,
 )
@@ -75,16 +76,34 @@ def test_hankel_det_negative_witness():
     assert ml.hankel_det(shifted, 1) == Fraction(-9, 2)
 
 
-@given(st.integers(min_value=1, max_value=4), st.data())
-@settings(max_examples=40, deadline=None)
-def test_bareiss_matches_cofactor(n, data):
-    rows = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
-    assert ml.bareiss_det(rows) == cofactor_det([row[:] for row in rows])
+@given(st.integers(min_value=1, max_value=6),
+       st.sampled_from(["ints", "rational", "large denominators", "singular"]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_bareiss_matches_cofactor(n, kind, data):
+    scalars = {"ints": st.integers(min_value=-9, max_value=9),
+               "large denominators": st.fractions(min_value=-3, max_value=3,
+                                                  max_denominator=10**9)}.get(kind, entries)
+    rows = [[data.draw(scalars) for _ in range(n)] for _ in range(n)]
+    if kind == "singular":
+        # the last row combines two earlier ones (or vanishes when n = 1)
+        others = st.integers(min_value=0, max_value=max(n - 2, 0))
+        i, j, c, d = data.draw(others), data.draw(others), data.draw(entries), data.draw(entries)
+        rows[-1] = [c * u + d * v for u, v in zip(rows[i], rows[j])] if n > 1 else [0]
+    det = ml.bareiss_det(rows)
+    assert isinstance(det, Fraction)
+    assert det == cofactor_det([row[:] for row in rows])
+    if kind == "singular":
+        assert det == 0
 
 
 def test_bareiss_det_stays_exact_on_ints():
     det = ml.bareiss_det([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
     assert det == -3 and isinstance(det, Fraction)
+
+
+def test_bareiss_det_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        ml.bareiss_det([[1, 2, 3], [4, 5, 6]])
 
 
 @pytest.mark.parametrize("call, expected", [
@@ -101,6 +120,69 @@ def test_negative_orders_raise_and_empty_matrix_is_definite(call, expected):
             call()
     else:
         assert call() == expected
+
+
+# -- Chebyshev rows --------------------------------------------------------
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+@st.composite
+def chebyshev_prefixes(draw):
+    """(vals, n) with len(vals) >= 2n+1: random integer and rational
+    prefixes, large denominators, atomic measures whose norm N_rank is
+    planted at zero, and [1, 0, 0] followed by random integers."""
+    kind = draw(st.sampled_from(["ints", "rational", "large denominators", "atomic",
+                                 "1, 0, 0"]))
+    n = draw(st.integers(min_value=0, max_value=8))
+    size = 2 * n + 1 + draw(st.integers(min_value=0, max_value=2))
+    ints = st.integers(min_value=-50, max_value=50)
+    if kind == "atomic":
+        rank = draw(st.integers(min_value=1, max_value=6))
+        pairs = [(draw(positive), draw(entries)) for _ in range(rank)]
+        return atomic_moments(pairs, size), n
+    if kind == "1, 0, 0":
+        return ([Fraction(1), Fraction(0), Fraction(0)]
+                + [Fraction(draw(ints)) for _ in range(max(size - 3, 0))])[:size], n
+    scalars = {"ints": ints.map(Fraction), "rational": entries,
+               "large denominators": st.fractions(min_value=-5, max_value=5,
+                                                  max_denominator=10**12)}[kind]
+    return [draw(scalars) for _ in range(size)], n
+
+
+@given(chebyshev_prefixes())
+@settings(max_examples=examples(150), deadline=None)
+def test_chebyshev_matches_the_field_recursion(case):
+    # the same norms and alphas; the integer row is sigma_{r,l} times a
+    # positive factor, so every sign and zero that _scan reads agrees
+    vals, n = case
+    norms, alphas, row = ml.hankel._chebyshev(vals, n)
+    ref_norms, ref_alphas, ref_row = reference_chebyshev(vals, n)
+    assert (norms, alphas) == (ref_norms, ref_alphas)
+    assert all(type(v) is Fraction for v in norms + alphas)
+    assert [sign(v) for v in row] == [sign(v) for v in ref_row]
+
+
+def test_rational_data_never_reaches_the_field_recursion(monkeypatch):
+    def field(*args):
+        raise AssertionError("rational data reached a field routine")
+
+    monkeypatch.setattr(ml.hankel, "_field_chebyshev", field)
+    monkeypatch.setattr(ml.hankel, "_field_bareiss", field)
+    spec, dela = ml.catalog_sequence("delannoy", 25)
+    root = ml.sqrt_exact(2)
+    # conjugate endpoints keep the combination sequence rational
+    assert ml.classify(dela, 12, interval=(3 - 2 * root, 3 + 2 * root)).passed
+    y = [Fraction(1), Fraction(0), Fraction(0), Fraction(3, 2)] + [Fraction(k % 7 - 3, 5)
+                                                                   for k in range(17)]
+    report = ml.classify(y, 10, interval=(Fraction(-1), Fraction(3)))
+    assert report.hamburger_ok_up_to == 1 and len(report.delta_values) == 11
+    assert ml.recurrence_from_moments(dela, 12)[1][:2] == (4, 2)
+    assert ml.ops_determinantal(dela, 4) == ml.ops_from_recurrence(spec, 4)[4]
+    # a one-sided interval puts the combination sequence in Q(sqrt 2)
+    with pytest.raises(AssertionError, match="field routine"):
+        ml.classify(dela, 3, interval=(Fraction(0), 3 + 2 * root))
 
 
 # -- definiteness --------------------------------------------------------
@@ -132,6 +214,24 @@ def test_psd_zero_diagonal_indefinite():
     v = ml.psd_status(M)
     assert v.status == "indefinite"
     assert M.quadratic_form(v.witness) < 0
+
+
+def test_psd_status_decides_int_entries_exactly():
+    # the rank-one v v^T, v = (3, 7, 9), once came back indefinite with a
+    # float witness because int / int divides in floats
+    v = (3, 7, 9)
+    M = ml.SymMatrix(tuple(tuple(a * b for b in v) for a in v))
+    verdict = ml.psd_status(M)
+    assert verdict.status == "positive_semidefinite_singular"
+    assert verdict.pivots == (9, 0, 0)
+    assert all(type(p) is Fraction for p in verdict.pivots)
+    N = ml.SymMatrix(((3, 1, 2), (1, 3, 5), (2, 5, 3)))
+    verdict = ml.psd_status(N)
+    assert verdict.status == "indefinite"
+    assert all(type(x) is Fraction for x in verdict.witness)
+    assert N.quadratic_form(verdict.witness) < 0
+    assert verdict.to_dict() == reference_psd_status(
+        ml.SymMatrix(tuple(tuple(map(Fraction, r)) for r in N.rows))).to_dict()
 
 
 def test_psd_zero_matrix():

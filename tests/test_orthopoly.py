@@ -87,6 +87,15 @@ def test_recurrence_recovery_delannoy():
     assert tau == (4, 2, 2)
 
 
+@pytest.mark.parametrize("name", ml.catalog_names())
+def test_recurrence_recovery_of_every_family_at_depth_30(name):
+    spec, seq = ml.catalog_sequence(name, 59)
+    sigma, tau = ml.recurrence_from_moments(seq, 30)
+    assert sigma == tuple(spec.sigma(k) for k in range(30))
+    assert tau == tuple(spec.tau(k) for k in range(1, 30))
+    assert all(type(v) is Fraction for v in sigma + tau)
+
+
 def test_recurrence_recovery_aerated():
     _, cat = ml.catalog_sequence("catalan", 5)
     aerated = []
