@@ -1,10 +1,11 @@
 """Verify closed-form integral representations by quadrature.
 
-Five families have closed-form representing densities.  Endpoint
-singularities are algebraic (exponents -1/2 or +1/2), so the substitution
-x = end +/- u^2 on each half of the interval makes the integrand smooth,
-and adaptive Gauss-Legendre panels reproduce the exact integer sequences
-to near machine precision.
+Five families have closed-form representing densities, each
+c (x - a)^e (b - x)^f on its interval with exponents e, f = -1/2 or +1/2.
+On each half of the interval the substitution x = end +/- u^2 passes the
+exact distance u^2 to the end, so the end power cancels against dx and
+the integrand is smooth; adaptive Gauss-Legendre panels then reproduce
+the exact integer sequences to near machine precision.
 
 Run:  python3 demos/05_integral_representations.py
 """
@@ -35,7 +36,7 @@ for name in density_names():
           f"{'pass' if report.passed else 'FAIL'}")
 
 print()
-print("A few individual values for the catalan density (1/2pi) sqrt((4-x)/x):")
+print("A few individual values for the catalan density (1/2pi) x^(-1/2) (4-x)^(1/2):")
 dens = density_catalog("catalan")
 for n in (0, 1, 5, 10):
     print(f"  integral of x^{n}: {moment_quadrature(dens, n, 1e-10):.10f}")

@@ -1,29 +1,34 @@
 """Density catalog, singularity-aware quadrature, and sequence transforms.
 
-Five classical families come with closed-form representing densities:
+Every density has one form, w(x) = (x - a)^e (b - x)^f h(x) on [a, b]:
+the ends a, b and the exponents e, f are exact, and the factor h is a
+float function that is finite on [a, b].  Five classical families come
+with closed forms, each c (x - a)^e (b - x)^f with e, f = +/-1/2:
 
-* catalan            (1/2pi) sqrt((4-x)/x)             on [0, 4]
-* central_binomial   1/(pi sqrt(x(4-x)))               on [0, 4]
-* motzkin            (1/2pi) sqrt((3-x)(1+x))          on [-1, 3]
-* central_trinomial  1/(pi sqrt((3-x)(1+x)))           on [-1, 3]
-* delannoy           arcsine density on [3-2sqrt(2), 3+2sqrt(2)]
+* catalan            (1/2pi) x^(-1/2) (4 - x)^(1/2)     on [0, 4]
+* central_binomial   (1/pi) x^(-1/2) (4 - x)^(-1/2)     on [0, 4]
+* motzkin            (1/2pi) (x + 1)^(1/2) (3 - x)^(1/2) on [-1, 3]
+* central_trinomial  (1/pi) (x + 1)^(-1/2) (3 - x)^(-1/2) on [-1, 3]
+* delannoy           the arcsine density on [3 - 2 sqrt 2, 3 + 2 sqrt 2]
 
-Each density records its endpoint exponents (w(x) ~ C (x-a)^e near a) as
-exact Fractions, and every moment is integrated one way: [a, b] is split
-at its midpoint, and on each half the substitution x = end +/- u^k, with
-k the denominator of that end's exponent, removes the endpoint power
-(x - end)^e before adaptive 10-point Gauss-Legendre panels integrate in
-u; a factor that stays non-analytic in u is left to their refinement.
-The nodes stay inside each panel as in QUADPACK (Piessens et al., 1983),
-so an infinite endpoint weight is never hit.  An exponent with a huge
-denominator, such as a float 1/3, raises ValueError: give it exactly.
+Every moment is integrated one way: [a, b] is split at its midpoint, and
+on each half the substitution x = end +/- u^k, with k the denominator of
+that end's exponent P/k, passes the exact distance u^k to the end, so the
+end power (x - end)^(P/k) dx becomes k u^(P+k-1) du analytically; the
+other end's power is taken of its distance, never below half the span.
+Adaptive 10-point Gauss-Legendre panels then integrate in u; a factor h
+that stays non-analytic in u is left to their refinement.  The nodes stay
+inside each panel as in QUADPACK (Piessens et al., 1983).  An exponent
+with a huge denominator, such as a float 1/3, raises ValueError: give it
+exactly.
 
 Two transforms act on moment sequences and densities together:
 
 * affine subsequences  y_{dk+l}, with the pushforward density under
   x -> x^d (plus an x^l factor),
 * linear combinations  sum_j g_j y_{k+j} for a polynomial g >= 0 on the
-  interval, with density g(x) w(x).
+  interval, with density g(x) w(x): g's roots at the ends raise the
+  exponents, and the rest of g joins the factor.
 
 Sequence-side arithmetic, every endpoint and exponent decision, and the
 decision g >= 0 (a Sturm sign count at exact points) stay exact; only
@@ -35,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from ._record import Record
@@ -71,70 +77,66 @@ __all__ = [
 
 
 class Density(Record):
-    """A weight function on [a, b] with declared endpoint exponents.
+    """The weight (x - a)^e (b - x)^f h(x) on [a, b].
 
-    ``a_exact`` / ``b_exact`` are the Fraction or Surd endpoints, so every
-    endpoint decision stays exact; ``a`` and ``b`` are their binary64
-    images used by quadrature.  An endpoint left as None becomes the exact
-    value of its float, and the exponents are stored as Fractions (a float
-    converts exactly).
+    ``a_exact`` / ``b_exact`` are the Fraction or Surd ends (an int or a
+    float converts exactly) and ``left_exponent`` e / ``right_exponent`` f
+    are Fractions, so every endpoint decision stays exact; ``a`` and ``b``
+    are their binary64 images.  ``factor`` is h, a float function of x
+    that is finite on [a, b]: quadrature takes the end powers of the
+    exact distances, so h never has to resolve them.
     """
 
     label: str
-    a: float
-    b: float
-    weight: object
+    a_exact: object
+    b_exact: object
     left_exponent: Fraction
     right_exponent: Fraction
-    a_exact: object = None
-    b_exact: object = None
+    factor: object
 
     def __post_init__(self):
+        for name in ("a_exact", "b_exact"):
+            end = getattr(self, name)
+            object.__setattr__(self, name, end if isinstance(end, Surd) else Fraction(end))
         for name in ("left_exponent", "right_exponent"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        for name, value in (("a_exact", self.a), ("b_exact", self.b)):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, Fraction(value))
 
-    def __call__(self, x: float) -> float:
-        return self.weight(x)
+    @cached_property
+    def a(self) -> float:
+        return float(self.a_exact)
+
+    @cached_property
+    def b(self) -> float:
+        return float(self.b_exact)
+
+    def weight(self, x: float) -> float:
+        """w(x) from a float x, for plots: 0 outside [a, b], inf at an end
+        whose power is."""
+        a, b = self.a, self.b
+        if not a <= x <= b:
+            return 0.0
+        return (_power(x - a, self.left_exponent) * _power(b - x, self.right_exponent)
+                * self.factor(x))
 
 
-def _sqrt0(v: float) -> float:
-    """sqrt clipped at zero; guards roundoff just inside the endpoints."""
-    return math.sqrt(v) if v > 0.0 else 0.0
-
-
-_SQRT2 = math.sqrt(2.0)
+def _power(distance: float, e: Fraction) -> float:
+    try:  # 0.0 ** -e raises, and so does a float ** float beyond the doubles
+        return distance ** float(e)
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
 
 
 def _catalog() -> dict:
     half = Fraction(1, 2)
-    alpha = Surd(3, -2, 2)
-    beta = Surd(3, 2, 2)
-    return {
-        "catalan": Density(
-            "catalan", 0.0, 4.0,
-            lambda x: _sqrt0((4.0 - x) / x) / (2.0 * math.pi) if x > 0 else 0.0,
-            -half, half, a_exact=Fraction(0), b_exact=Fraction(4)),
-        "central_binomial": Density(
-            "central_binomial", 0.0, 4.0,
-            lambda x: 1.0 / (math.pi * _sqrt0(x * (4.0 - x))) if 0 < x < 4 else math.inf,
-            -half, -half, a_exact=Fraction(0), b_exact=Fraction(4)),
-        "motzkin": Density(
-            "motzkin", -1.0, 3.0,
-            lambda x: _sqrt0((3.0 - x) * (1.0 + x)) / (2.0 * math.pi),
-            half, half, a_exact=Fraction(-1), b_exact=Fraction(3)),
-        "central_trinomial": Density(
-            "central_trinomial", -1.0, 3.0,
-            lambda x: 1.0 / (math.pi * _sqrt0((3.0 - x) * (1.0 + x))) if -1 < x < 3 else math.inf,
-            -half, -half, a_exact=Fraction(-1), b_exact=Fraction(3)),
-        "delannoy": Density(
-            "delannoy", 3.0 - 2.0 * _SQRT2, 3.0 + 2.0 * _SQRT2,
-            lambda x: 1.0 / (math.pi * _sqrt0((3.0 + 2.0 * _SQRT2 - x) * (x - 3.0 + 2.0 * _SQRT2)))
-            if 3.0 - 2.0 * _SQRT2 < x < 3.0 + 2.0 * _SQRT2 else math.inf,
-            -half, -half, a_exact=alpha, b_exact=beta),
+    table = {  # name: (a, b, e, f, c)
+        "catalan": (0, 4, -half, half, 0.5 / math.pi),
+        "central_binomial": (0, 4, -half, -half, 1 / math.pi),
+        "motzkin": (-1, 3, half, half, 0.5 / math.pi),
+        "central_trinomial": (-1, 3, -half, -half, 1 / math.pi),
+        "delannoy": (Surd(3, -2, 2), Surd(3, 2, 2), -half, -half, 1 / math.pi),
     }
+    return {name: Density(name, a, b, e, f, lambda x, c=c: c)
+            for name, (a, b, e, f, c) in table.items()}
 
 
 _DENSITIES = _catalog()
@@ -218,7 +220,7 @@ def quad(f, a: float, b: float, epsabs: float) -> float:
 #: float that is not a short dyadic fraction, such as 1/3, converts to a
 #: denominator near 2^54.
 _MAX_DENOMINATOR = 2 ** 16
-_TINY = 2.0 ** -1000  # the least x > 0 a weight is evaluated at
+_TINY = 2.0 ** -1000  # the least x > 0 the integrand is evaluated at
 
 
 def moment_quadrature(dens: Density, n: int, tol: float = 1e-10) -> float:
@@ -226,13 +228,13 @@ def moment_quadrature(dens: Density, n: int, tol: float = 1e-10) -> float:
 
     [a, b] is split at its midpoint, and each half is integrated by the
     adaptive Gauss-Legendre rule ``quad`` after the substitution
-    x = end +/- u^k, where k is the denominator of the exact exponent e at
-    that end: a factor (x - end)^(P/Q) dx becomes Q u^(P+Q-1) du; a factor
-    of the weight that stays non-analytic in u is left to the refinement.
-    A denominator above _MAX_DENOMINATOR (a float 1/3) raises ValueError:
-    give it as an exact Fraction.  So does, at a zero end, too much mass
-    below _TINY (the x^100 pushforward of catalan), where the integral is
-    extrapolated from the leading power of u.
+    x = end +/- u^k, where k is the denominator of the exact exponent P/k
+    at that end.  The end power of the exact distance u^k cancels with
+    dx: the integrand is k u^(P+k-1) (span - u^k)^e' h(x) x^n, with e' the
+    other end's exponent and span = b - a.  A denominator above _MAX_DENOMINATOR (a float 1/3) raises
+    ValueError: give it as an exact Fraction.  So does, at a zero end, too
+    much mass below _TINY (the x^100 pushforward of catalan), where the
+    integral is extrapolated from the leading power of u.
     """
     if n < 0:
         raise ValueError("moment order must be >= 0")
@@ -245,21 +247,20 @@ def moment_quadrature(dens: Density, n: int, tol: float = 1e-10) -> float:
         if e.denominator > _MAX_DENOMINATOR:
             raise ValueError(f"endpoint exponent {float(e)!r} has denominator "
                              f"{e.denominator}; give it as an exact Fraction")
-    a, b = dens.a, dens.b
-    mid = 0.5 * (a + b)
-    w = dens.weight
+    span, h = dens.b - dens.a, dens.factor
     total = 0.0
-    for end, e, sign in ((a, ea, 1.0), (b, eb, -1.0)):
-        k = e.denominator
+    for end, e, sign, other in ((dens.a, ea, 1.0, float(eb)), (dens.b, eb, -1.0, float(ea))):
+        k, power = e.denominator, e.numerator + e.denominator - 1
 
         def g(u):
-            x = end + sign * u ** k
-            return w(x) * x ** n * k * u ** (k - 1)
+            t = u ** k
+            x = end + sign * t
+            return k * u ** power * (span - t) ** other * h(x) * x ** n
 
         # at a zero end x = u^k drops below _TINY for u < lo (lo = 0.013 for
         # k = 160), where g(u) ~ u^(m-1) (c + c' u^j): extrapolating c from lo
         # errs by at most 1/(m+1) of the change when extrapolating from 2 lo
-        lo, top = _TINY ** (1.0 / k) if end == 0.0 else 0.0, abs(mid - end) ** (1.0 / k)
+        lo, top = _TINY ** (1.0 / k) if end == 0.0 else 0.0, (0.5 * span) ** (1.0 / k)
         total += quad(g, lo, top, tol / 2)
         if lo:
             m, hi = e.numerator + k * (n + 1), min(2 * lo, top)
@@ -527,19 +528,21 @@ def linear_combination_transform(y, g, a, b, density: Density = None):
 
 
 def transformed_density_linear(dens: Density, coeffs) -> Density:
-    """The density g(x) w(x) on the same interval."""
-    coeffs = tuple(ensure_fraction(c) for c in coeffs)
-    fcoeffs = [float(c) for c in coeffs]
-    w = dens.weight
+    """The density g(x) w(x) on the same interval.  g is divided exactly by
+    its roots at the ends, g = (x - a)^i (x - b)^j r(x): the exponents rise
+    by i and j, and (-1)^j r(x) h(x) is the new factor."""
+    rise_a, rest = vanishing_order(tuple(ensure_fraction(c) for c in coeffs), dens.a_exact)
+    rise_b, rest = vanishing_order(rest, dens.b_exact)
+    r, h = [float(c) * (-1) ** rise_b for c in rest], dens.factor
 
-    def new_weight(x, _w=w, _f=fcoeffs):
-        return horner(_f, x) * _w(x)
+    def factor(x):
+        return horner(r, x) * h(x)
 
     return dens.replace(
         label=f"g*{dens.label}",
-        weight=new_weight,
-        left_exponent=dens.left_exponent + vanishing_order(coeffs, dens.a_exact),
-        right_exponent=dens.right_exponent + vanishing_order(coeffs, dens.b_exact),
+        left_exponent=dens.left_exponent + rise_a,
+        right_exponent=dens.right_exponent + rise_b,
+        factor=factor,
     )
 
 
@@ -554,14 +557,23 @@ def translate_density(dens: Density, offset: int) -> Density:
     return moved.replace(label=f"x^{offset}*{dens.label}")
 
 
-def pushforward_power(dens: Density, d: int) -> Density:
-    """Pushforward of w(x) dx under x -> x^d, for intervals in [0, inf).
+def _geometric(c: float, x: float, d: int) -> float:
+    """S_c(x) = sum_{j<d} c^(d-1-j) x^j = (c^d - x^d)/(c - x), for c > 0 and
+    x >= 0: a sum of terms >= 0, so nothing cancels."""
+    return math.fsum(c ** (d - 1 - j) * x ** j for j in range(d))
 
-    The new weight on [a^d, b^d] is w(u^(1/d)) u^((1-d)/d) / d; a zero
-    left endpoint maps exponent e to (e+1)/d - 1.  Both decisions are made
-    on the exact endpoint, and the exact image comes from transform_support.
-    A d for which b^d is not a finite double raises ValueError; the weight
-    is inf where u^((1-d)/d) is.
+
+def pushforward_power(dens: Density, d: int) -> Density:
+    """Pushforward of w(x) dx under v = x^d, for intervals in [0, inf).
+
+    The image lives on [a^d, b^d], with weight w(x) x^(1-d) / d at
+    x = v^(1/d).  As b - x = (b^d - v) / S_b(x) and x - a = (v - a^d) / S_a(x)
+    (see ``_geometric``), the exponents stay and the new factor is
+    h(x) S_b(x)^(-f) S_a(x)^(-e) x^(1-d) / d; at a zero left end
+    x^e x^(1-d) = v^((e+1)/d - 1) instead, so e becomes (e+1)/d - 1.  Both
+    decisions are made on the exact endpoint, and the exact image comes
+    from transform_support.  A d for which b^d is not a finite double
+    raises ValueError.
     """
     if d < 1:
         raise ValueError("need d >= 1")
@@ -569,29 +581,26 @@ def pushforward_power(dens: Density, d: int) -> Density:
         return dens
     if dens.a_exact < 0:
         raise ValueError("pushforward under x^d needs an interval in [0, inf)")
-    w = dens.weight
-
-    def new_weight(u, _w=w, _d=d):
-        try:  # a float ** float beyond the doubles raises, never gives inf
-            factor = u ** ((1.0 - _d) / _d) / _d
-        except (OverflowError, ZeroDivisionError):
-            return math.inf
-        return _w(u ** (1.0 / _d)) * factor
-
-    left = (dens.left_exponent + 1) / d - 1 if dens.a_exact == 0 else dens.left_exponent
     a_exact, b_exact = transform_support((dens.a_exact, dens.b_exact), d)
-    try:  # float ** int raises OverflowError, never gives inf
-        a, b = dens.a ** d, dens.b ** d
+    try:  # float() of a Fraction beyond the doubles raises, never gives inf
+        float(b_exact)
     except OverflowError:
         raise ValueError(f"d = {d} is too large: b^{d} = {dens.b!r}^{d} "
                          f"is not a finite double") from None
+    zero, e, f = dens.a_exact == 0, dens.left_exponent, dens.right_exponent
+    a, b, ea, fb, h = dens.a, dens.b, -float(e), -float(f), dens.factor
+
+    def factor(v):
+        x = v ** (1.0 / d)
+        out = h(x) * _geometric(b, x, d) ** fb / d
+        return out if zero else out * _geometric(a, x, d) ** ea * x ** (1 - d)
+
     return Density(
         label=f"{dens.label}^(x->x^{d})",
-        a=a, b=b,
-        weight=new_weight,
-        left_exponent=left,
-        right_exponent=dens.right_exponent,
         a_exact=a_exact, b_exact=b_exact,
+        left_exponent=(e + 1) / d - 1 if zero else e,
+        right_exponent=f,
+        factor=factor,
     )
 
 

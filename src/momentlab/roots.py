@@ -66,13 +66,14 @@ def sturm_counter(g):
     return lambda x: sign_changes(horner(q, x) for q in chain)
 
 
-def vanishing_order(coeffs, point) -> int:
-    """Multiplicity of an exact root at an exact point, by deflation."""
+def vanishing_order(coeffs, point) -> tuple:
+    """(m, q): the multiplicity m of an exact root at an exact point and the
+    quotient q = coeffs / (x - point)^m, by deflation."""
     order, work = 0, trim(coeffs)
     while len(work) > 1 and horner(work, point) == 0:
-        work = pdivmod(work, (-point, 1))[0]
+        work = tuple(pdivmod(work, (-point, 1))[0])
         order += 1
-    return order
+    return order, work
 
 
 _SIGN = 1 << 63

@@ -20,14 +20,18 @@ most 4 with O(1) operations per term, where the rolling rows of
 specs and are the reference the recurrence is tested against.
 
 Everything in this module is exact and no floating point is involved
-anywhere.  Integral specs (every catalog family) are generated over
-Python ints and rational ones over Fractions; results are handed out as
-Fractions either way.
+anywhere, and every spec is generated over Python ints.  An entry r[n][k]
+is weighted-homogeneous of degree n - k in the data (s_j of weight 1, t_j
+of weight 2), so with lambda the lcm of the spec's denominators the spec
+(lambda sigma, lambda^2 tau) is integral and its entries are
+lambda^(n-k) r[n][k]: a rational spec is scaled once, and each entry is
+divided by its power of lambda as it is handed out as a Fraction.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from ._record import Record
@@ -241,21 +245,31 @@ def _values(y) -> tuple:
     return tuple([v if isinstance(v, Surd) else ensure_fraction(v) for v in y])
 
 
-def _exact(v: Fraction):
-    """An int for denominator 1, so integral specs run in int arithmetic."""
-    return v.numerator if v.denominator == 1 else v
+def _scale(spec: SigmaTauSpec) -> int:
+    """lambda, the lcm of the denominators of the spec's coefficients."""
+    return math.lcm(*(v.denominator for v in (spec.sigma_tail, spec.tau_tail,
+                                               *spec.sigma_prefix, *spec.tau_prefix)))
 
 
-def _rows(spec: SigmaTauSpec, n_max: int):
-    """Yield rows r[0] .. r[n_max] of the recursive matrix, one at a time.
+def _times(v: Fraction, m: int) -> int:
+    """v m, for a multiple m of v's denominator."""
+    return v.numerator * (m // v.denominator)
 
-    Coefficients with denominator 1 enter as ints, so an integral spec is
-    run entirely in int arithmetic and a rational one in Fractions.
-    """
+
+def _unscale(entries, lam: int, degrees) -> tuple:
+    """The Fractions v / lambda^degree of scaled int entries."""
+    if lam == 1:
+        return tuple(map(Fraction, entries))
+    return tuple(Fraction(v, lam ** d) for v, d in zip(entries, degrees))
+
+
+def _rows(spec: SigmaTauSpec, n_max: int, lam: int):
+    """Yield the int rows lambda^(n-k) r[n][k], n = 0 .. n_max, one at a
+    time: the rows of the integral spec (lambda sigma, lambda^2 tau)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    sigma = [_exact(spec.sigma(k)) for k in range(n_max + 1)]
-    tau = [_exact(spec.tau(k + 1)) for k in range(n_max + 1)]  # tau[k] = t_{k+1}
+    sigma = [_times(spec.sigma(k), lam) for k in range(n_max + 1)]
+    tau = [_times(spec.tau(k + 1), lam * lam) for k in range(n_max + 1)]  # tau[k] = t_{k+1}
     row = [1]
     yield row
     for _ in range(n_max):
@@ -267,8 +281,9 @@ def _rows(spec: SigmaTauSpec, n_max: int):
 
 def recursive_matrix(spec: SigmaTauSpec, n_max: int) -> RecursiveMatrix:
     """The (n_max+1)-row recursive matrix of the spec, exactly."""
-    return RecursiveMatrix(tuple(tuple(Fraction(v) for v in row)
-                                 for row in _rows(spec, n_max)))
+    lam = _scale(spec)
+    return RecursiveMatrix(tuple(_unscale(row, lam, range(n, -1, -1))
+                                 for n, row in enumerate(_rows(spec, n_max, lam))))
 
 
 def _pmul(a, b):
@@ -292,8 +307,8 @@ def _shorthand_column(p, s, q, t, n_max: int) -> list:
     whose x^m coefficient links y_{m+1-k}, k = 0 .. 4.  Let k0 be the order
     of D at 0 (D is not 0: P is not a square, as t != 0).  Then y_n, with
     m = n + k0 - 1, has the coefficient 2 D_k0 (n + k0), which is never 0
-    for n >= 1, so y_0 = 1 seeds a recurrence of order 4 - k0.  An integral
-    spec runs in ints with exact division; a rational one in Fractions.
+    for n >= 1, so y_0 = 1 seeds a recurrence of order 4 - k0.  The data
+    are ints, so every y_n is one and each division is exact.
     """
     P = [1, -2 * s, s * s - 4 * t]
     L = [2 * t - q, q * s - 2 * t * p]
@@ -306,7 +321,6 @@ def _shorthand_column(p, s, q, t, n_max: int) -> list:
     lead = 2 * D[k0]
     # y_{n-j} enters with a_{k0+j} (n - j) + b_{k0+j-1}, j = 1 .. 4 - k0
     back = [(j, A[k0 + j], B[k0 + j - 1]) for j in range(1, 5 - k0)]
-    integral = all(isinstance(v, int) for v in (p, s, q, t))
     y = [1]
     for n in range(1, n_max + 1):
         m = n + k0 - 1
@@ -314,12 +328,8 @@ def _shorthand_column(p, s, q, t, n_max: int) -> list:
         for j, a, b in back:
             if j <= n:
                 num -= (a * (n - j) + b) * y[n - j]
-        den = lead * (n + k0)
-        if integral:
-            value, rem = divmod(num, den)
-            assert rem == 0, "a shorthand spec with int data has int terms"
-        else:
-            value = num / den
+        value, rem = divmod(num, lead * (n + k0))
+        assert rem == 0, "a shorthand spec with int data has int terms"
         y.append(value)
     return y
 
@@ -328,16 +338,19 @@ def catalan_like(spec: SigmaTauSpec, n_max: int) -> Sequence:
     """Column 0 of the recursive matrix: the Catalan-like numbers.
 
     A shorthand spec runs the P-recurrence of :func:`_shorthand_column`,
-    any other the rolling rows of :func:`_rows`.
+    any other the rolling rows of :func:`_rows`, both on the spec scaled
+    by lambda (see the module docstring); y_n is then divided by lambda^n.
     """
-    short = spec.shorthand
+    lam, short = _scale(spec), spec.shorthand
     if short is None:
-        column = [row[0] for row in _rows(spec, n_max)]
+        column = [row[0] for row in _rows(spec, n_max, lam)]
     elif n_max < 0:
         raise ValueError("n_max must be >= 0")
     else:
-        column = _shorthand_column(*map(_exact, short), n_max)
-    return Sequence(tuple(column), label=spec.label or "catalan-like",
+        p, s, q, t = short
+        column = _shorthand_column(_times(p, lam), _times(s, lam), _times(q, lam * lam),
+                                   _times(t, lam * lam), n_max)
+    return Sequence(_unscale(column, lam, range(n_max + 1)), label=spec.label or "catalan-like",
                     origin="recursive-matrix")
 
 

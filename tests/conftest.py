@@ -10,8 +10,10 @@ that decides every Hankel matrix by elimination order by order,
 Chebyshev's recursion over the field of the data, definiteness
 witnesses by a second elimination on the original entries, recovery
 that squares the orthogonal polynomials, zeros as eigenvalues of the
-Jacobi matrix, moments by scipy's adaptive quadrature, and the g >= 0
-decision as it stood before its helpers moved to one module.
+Jacobi matrix, moments by scipy's adaptive quadrature, the g >= 0
+decision as it stood before its helpers moved to one module, and the
+catalog densities as the hand-written float weights they were before the
+catalog became a table of ends, exponents and constants.
 """
 
 from fractions import Fraction
@@ -560,3 +562,31 @@ def reference_moment_quadrature(dens, n, tol=1e-10):
             lo, hi = (end, mid) if sign > 0 else (mid, end)
             total += quad(f, lo, hi, epsabs=tol / 2, epsrel=1e-11, limit=200)[0]
     return total
+
+
+def _sqrt0(v: float) -> float:
+    """sqrt clipped at zero; guards roundoff just inside the endpoints."""
+    return math.sqrt(v) if v > 0.0 else 0.0
+
+
+_SQRT2 = math.sqrt(2.0)
+
+#: The five catalog weights as closed-form float functions of x, each with
+#: the float ends (a, b) it uses: delannoy's 3.0 - 2.0 * _SQRT2 lies 7 ulps
+#: below the double nearest 3 - 2 sqrt 2.
+REFERENCE_WEIGHTS = {
+    "catalan": (0.0, 4.0,
+                lambda x: _sqrt0((4.0 - x) / x) / (2.0 * math.pi) if x > 0 else 0.0),
+    "central_binomial": (0.0, 4.0,
+                         lambda x: 1.0 / (math.pi * _sqrt0(x * (4.0 - x)))
+                         if 0 < x < 4 else math.inf),
+    "motzkin": (-1.0, 3.0,
+                lambda x: _sqrt0((3.0 - x) * (1.0 + x)) / (2.0 * math.pi)),
+    "central_trinomial": (-1.0, 3.0,
+                          lambda x: 1.0 / (math.pi * _sqrt0((3.0 - x) * (1.0 + x)))
+                          if -1 < x < 3 else math.inf),
+    "delannoy": (3.0 - 2.0 * _SQRT2, 3.0 + 2.0 * _SQRT2,
+                 lambda x: 1.0 / (math.pi * _sqrt0((3.0 + 2.0 * _SQRT2 - x)
+                                                   * (x - 3.0 + 2.0 * _SQRT2)))
+                 if 3.0 - 2.0 * _SQRT2 < x < 3.0 + 2.0 * _SQRT2 else math.inf),
+}

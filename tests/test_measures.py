@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import momentlab as ml
 from momentlab import measures
-from conftest import poly_mul, reference_check_g_nonneg, reference_moment_quadrature
+from conftest import (REFERENCE_WEIGHTS, poly_mul, reference_check_g_nonneg,
+                      reference_moment_quadrature)
+
+
+def _one(x):
+    return 1.0
 
 
 def test_density_catalog_metadata():
@@ -26,6 +31,28 @@ def test_density_catalog_metadata():
     assert (mot.left_exponent, mot.right_exponent) == (0.5, 0.5)
     with pytest.raises(ml.UnknownName):
         ml.density_catalog("fine")
+
+
+@pytest.mark.parametrize("name", ml.density_names())
+def test_catalog_weights_match_the_closed_forms(name):
+    """The table-built weight c (x - a)^e (b - x)^f is the hand-written
+    closed form to 4 ulps inside the interval, plus the closed form's own
+    error from its distances to the ends: each is off by up to one rounding
+    at the scale of the ends and, for delannoy, by its float end's offset,
+    which moves the weight by |e| (that error) / |x - end| relative.  At an
+    end whose exponent is negative the weight is inf."""
+    dens = ml.density_catalog(name)
+    ref_a, ref_b, reference = REFERENCE_WEIGHTS[name]
+    scale = math.ulp(max(abs(ref_a), abs(ref_b)))
+    for k in range(1, 256):
+        x = dens.a + (dens.b - dens.a) * k / 256
+        w = reference(x)
+        shift = (abs(dens.left_exponent) * (abs(ref_a - dens.a) + scale) / (x - dens.a)
+                 + abs(dens.right_exponent) * (abs(ref_b - dens.b) + scale) / (dens.b - x))
+        assert abs(dens.weight(x) - w) <= 4 * math.ulp(w) + shift * w, x
+    for end, e in ((dens.a, dens.left_exponent), (dens.b, dens.right_exponent)):
+        assert dens.weight(end) == (math.inf if e < 0 else 0.0)
+    assert dens.weight(dens.a - 1) == dens.weight(dens.b + 1) == 0.0
 
 
 def test_moment_quadrature_catalan():
@@ -47,7 +74,7 @@ def test_moment_quadrature_arcsine_closed_forms():
 
 
 def test_moment_quadrature_rejects_nonintegrable():
-    bad = ml.Density("bad", 0.0, 1.0, lambda x: 1.0 / x, -1.0, 0.0)
+    bad = ml.Density("bad", 0, 1, -1, 0, _one)
     with pytest.raises(ml.NonIntegrable):
         ml.moment_quadrature(bad, 0)
 
@@ -81,7 +108,7 @@ def test_moments_match_exact_targets():
             tseq, tdens = ml.linear_combination_transform(
                 seq, _random_nonneg_g(rng, dens), dens.a_exact, dens.b_exact, density=dens)
             cases.append((tdens, tseq.values[:21]))
-    uniform = ml.Density("uniform", 0.0, 1.0, lambda x: 1.0, 0.0, 0.0)
+    uniform = ml.Density("uniform", 0, 1, 0, 0, _one)
     cases.append((uniform, [Fraction(1, n + 1) for n in range(9)]))
     for dens, targets in cases:
         report = ml.verify_representation(targets, dens, len(targets) - 1, tol=1e-7)
@@ -90,9 +117,9 @@ def test_moments_match_exact_targets():
             reference = reference_moment_quadrature(dens, n, 1e-13)
             assert abs(computed - reference) <= 1e-12 * max(1.0, abs(target))
     exact_only = [
-        (ml.Density("x^(-3/4)", 0.0, 1.0, lambda x: x ** -0.75, -0.75, 0.0),
+        (ml.Density("x^(-3/4)", 0, 1, Fraction(-3, 4), 0, _one),
          [Fraction(4, 4 * n + 1) for n in range(9)]),
-        (ml.Density("(1-x)^(-1/2)", 0.0, 1.0, lambda x: (1.0 - x) ** -0.5, 0.0, -0.5),
+        (ml.Density("(1-x)^(-1/2)", 0, 1, 0, Fraction(-1, 2), _one),
          [Fraction(math.factorial(n) * 2 ** (n + 1), math.prod(range(1, 2 * n + 2, 2)))
           for n in range(9)]),
     ]
@@ -105,8 +132,7 @@ def _beta(e, f):
     """x^e (1 - x)^f on [0, 1] with exact exponents, and its moments
     B(n + e + 1, f + 1) from math.gamma."""
     fe, ff = float(e), float(f)
-    dens = ml.Density(f"beta({e}, {f})", 0.0, 1.0,
-                      lambda x: x ** fe * (1.0 - x) ** ff, e, f)
+    dens = ml.Density(f"beta({e}, {f})", 0, 1, e, f, _one)
 
     def moment(n):
         return math.gamma(n + fe + 1) * math.gamma(ff + 1) / math.gamma(n + fe + ff + 2)
@@ -119,34 +145,25 @@ _EIGHTHS = sorted({Fraction(p, q) for q in range(1, 9) for p in range(1 - q, 2 *
 
 
 def test_beta_weights_match_gamma_moments():
-    """x^e (1-x)^f for every exponent P/Q in (-1, 2] with Q <= 8 at the zero
-    end, and every one >= 0, or -1/2, at 1: with x = end -/+ u^Q on each
-    half, the moments match to 1e-12 (relative, absolute below 1)."""
-    ends = [f for f in _EIGHTHS if f >= 0] + [Fraction(-1, 2)]
+    """x^e (1-x)^f for every pair of exponents P/Q in (-1, 2] with Q <= 8:
+    with x = end -/+ u^Q on each half, and the end power taken of the exact
+    distance u^Q, the moments match to 1e-12 (relative, absolute below 1),
+    negative exponents at the nonzero end 1 included."""
     for e in _EIGHTHS:
-        for f in ends:
+        for f in _EIGHTHS:
             dens, moment = _beta(e, f)
             for n in (0, 4, 9):
                 got = ml.moment_quadrature(dens, n, 1e-13)
                 assert abs(got - moment(n)) <= 1e-12 * max(1.0, moment(n)), (e, f, n)
 
 
-@pytest.mark.parametrize("f", [Fraction(-3, 4), Fraction(-7, 8)])
-@pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
-                   reason="x = 1 - u^Q rounds to 1 at a node: a weight of x alone "
-                          "cannot resolve (1 - x)^f within an ulp of 1")
-def test_beta_negative_exponent_at_nonzero_end(f):
-    dens, moment = _beta(Fraction(0), f)
-    assert ml.moment_quadrature(dens, 0, 1e-13) == pytest.approx(moment(0), abs=1e-12)
-
-
 def test_float_exponent_needs_an_exact_fraction():
     """A float 1/3 or -0.3 has a denominator near 2^54: no substitution."""
     for e in (1 / 3, -0.3):
-        dens = ml.Density("float", 0.0, 1.0, lambda x: x ** e, e, 0)
+        dens = ml.Density("float", 0, 1, e, 0, _one)
         with pytest.raises(ValueError, match="exact Fraction"):
             ml.moment_quadrature(dens, 2)
-    dens = ml.Density("exact", 0.0, 1.0, lambda x: x ** (1 / 3), Fraction(1, 3), 0)
+    dens = ml.Density("exact", 0, 1, Fraction(1, 3), 0, _one)
     assert ml.moment_quadrature(dens, 2, 1e-13) == pytest.approx(3 / 10, abs=1e-13)
 
 
@@ -461,7 +478,7 @@ def test_pushforward_exponent_is_exact():
 
 
 def test_user_density_gets_exact_endpoints_and_exponents():
-    dens = ml.Density("u", 0.0, 1.0, lambda x: x ** -0.75, -0.75, 0.0)
+    dens = ml.Density("u", 0.0, 1.0, -0.75, 0.0, _one)
     assert (dens.a_exact, dens.b_exact) == (0, 1)
     assert isinstance(dens.a_exact, Fraction) and isinstance(dens.b_exact, Fraction)
     assert dens.left_exponent == Fraction(-3, 4)
@@ -469,6 +486,9 @@ def test_user_density_gets_exact_endpoints_and_exponents():
     # the exact zero endpoint drives both transforms
     assert ml.translate_density(dens, 2).left_exponent == Fraction(5, 4)
     assert ml.pushforward_power(dens, 2).left_exponent == Fraction(-7, 8)
+    # the form before: a weight of x in the fourth place, ends as floats
+    with pytest.raises(TypeError):
+        ml.Density("u", 0.0, 1.0, lambda x: x ** -0.75, -0.75, 0.0)
 
 
 def test_pushforward_power_catalan():

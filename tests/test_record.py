@@ -41,10 +41,10 @@ CASES = [
      "RecursiveMatrix(rows=((1,), (1, 1)))"),
     (lambda: ml.MonicPolynomial((2, 1, 0)),
      "MonicPolynomial(coefficients=(Fraction(2, 1), Fraction(1, 1)))"),
-    (lambda: ml.Density("w", 0.0, 1.0, math.sqrt, 0.5, -0.5),
-     "Density(label='w', a=0.0, b=1.0, weight=<built-in function sqrt>, "
+    (lambda: ml.Density("w", 0.0, 1.0, 0.5, -0.5, math.sqrt),
+     "Density(label='w', a_exact=Fraction(0, 1), b_exact=Fraction(1, 1), "
      "left_exponent=Fraction(1, 2), right_exponent=Fraction(-1, 2), "
-     "a_exact=Fraction(0, 1), b_exact=Fraction(1, 1))"),
+     "factor=<built-in function sqrt>)"),
     (lambda: RepresentationReport("r", 1e-7, ((0, 1.0, 1.0, 0.0, 0.0),)),
      "RepresentationReport(label='r', tol=1e-07, rows=((0, 1.0, 1.0, 0.0, 0.0),))"),
     (lambda: ml.TransformSpec("linear_combination", g=(4, -1), interval=(0, 4)),
@@ -169,16 +169,19 @@ def test_post_init_normalises():
     assert ml.MonicPolynomial((Fraction(-2), 1, 0, 0)).coefficients == (-2, 1)
     with pytest.raises(ValueError):
         ml.MonicPolynomial((1, 2, 0))
-    dens = ml.Density("w", -1.0, 0.5, math.sqrt, 0.25, -1.5)
+    dens = ml.Density("w", -1.0, 0.5, 0.25, -1.5, math.sqrt)
     assert (dens.left_exponent, dens.right_exponent) == (Fraction(1, 4), Fraction(-3, 2))
     assert type(dens.left_exponent) is Fraction and type(dens.right_exponent) is Fraction
     assert (dens.a_exact, dens.b_exact) == (-1, Fraction(1, 2))
-    kept = ml.Density("w", 0.0, 4.0, math.sqrt, 0, 0, a_exact=Fraction(0), b_exact=Fraction(4))
-    assert kept.b_exact == 4
+    assert type(dens.a_exact) is Fraction and (dens.a, dens.b) == (-1.0, 0.5)
+    kept = ml.Density("w", ml.Surd(3, -2, 2), 4, 0, 0, math.sqrt)
+    assert kept.a_exact == ml.Surd(3, -2, 2) and type(kept.b_exact) is Fraction
+    with pytest.raises(TypeError):  # the form before: the weight fourth
+        ml.Density("w", 0.0, 1.0, math.sqrt, 0.5, -0.5)
 
 
 def test_replace_keeps_the_other_fields_and_normalises_again():
-    dens = ml.Density("w", 0.0, 1.0, math.sqrt, 0.5, -0.5)
+    dens = ml.Density("w", 0.0, 1.0, 0.5, -0.5, math.sqrt)
     moved = dens.replace(label="v", right_exponent=2.5)
     assert moved.label == "v" and moved.right_exponent == Fraction(5, 2)
     assert [getattr(moved, f) for f in ml.Density._fields if f not in ("label", "right_exponent")] \

@@ -13,6 +13,9 @@ small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 nonzero_rationals = small_rationals.filter(lambda v: v != 0)
 small_integers = st.integers(min_value=-4, max_value=4)
 nonzero_integers = small_integers.filter(lambda v: v != 0)
+# denominators up to 12 give lcms such as 60 and 132 to scale a spec by
+wide_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+nonzero_wide_rationals = wide_rationals.filter(lambda v: v != 0)
 
 
 def _shorthand(values, nonzero):
@@ -27,12 +30,12 @@ def _shorthand(values, nonzero):
 
 specs = st.one_of(
     _shorthand(st.integers(-9, 9), st.integers(-9, 9).filter(bool)),
-    _shorthand(small_rationals, nonzero_rationals),
+    _shorthand(wide_rationals, nonzero_wide_rationals),
     st.builds(ml.spec_from_prefixes,
-              st.lists(small_integers | small_rationals, max_size=6),
-              small_integers | small_rationals,
-              st.lists(nonzero_integers | nonzero_rationals, max_size=6),
-              nonzero_integers | nonzero_rationals),
+              st.lists(small_integers | wide_rationals, max_size=6),
+              small_integers | wide_rationals,
+              st.lists(nonzero_integers | nonzero_wide_rationals, max_size=6),
+              nonzero_integers | nonzero_wide_rationals),
 )
 
 
@@ -135,9 +138,10 @@ def test_recurrence_reevaluates_exactly(p, s, q, t, n_max):
 @given(spec=specs, n_max=st.integers(min_value=0, max_value=60))
 @settings(max_examples=200, deadline=None)
 def test_column0_matches_naive_recursion(spec, n_max):
-    """catalan_like runs a P-recurrence on shorthand specs (integral ones in
-    ints, with an asserted zero remainder) and the rolling rows otherwise;
-    the top-down recursion and recursive_matrix are its references."""
+    """catalan_like runs a P-recurrence on shorthand specs (in ints, with an
+    asserted zero remainder, after a rational spec is scaled by the lcm of
+    its denominators) and the rolling rows otherwise; the top-down
+    recursion and recursive_matrix are its references."""
     got = ml.catalan_like(spec, n_max)
     expected = naive_column0(spec.sigma, spec.tau, n_max)
     assert list(got) == expected
