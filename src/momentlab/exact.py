@@ -295,5 +295,6 @@ def _normal(a: Fraction, b: Fraction, r: Fraction):
 
 
 def is_exact(x) -> bool:
-    """True for scalars that support exact arithmetic and ordering."""
-    return isinstance(x, (int, Fraction, Surd))
+    """True for scalars that support exact arithmetic and ordering: ints,
+    Fractions and Surds, but not bools (see ``ensure_fraction``)."""
+    return isinstance(x, (int, Fraction, Surd)) and not isinstance(x, bool)

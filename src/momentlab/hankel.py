@@ -34,7 +34,9 @@ failure come from fraction-free (Bareiss) elimination.
 Rational data is multiplied once by the lcm of its denominators, so the
 recursion (in its fraction-free form), the minor cross-check and Bareiss
 all run on plain integers with exact divisions; only data holding an
-irrational Surd runs them over its field.
+irrational Surd runs them over its field.  One Bareiss kernel serves
+both: each matrix (``bareiss_det``) or sequence (``_scan``) decides
+integers or field once and passes the kernel its exact division.
 """
 
 from __future__ import annotations
@@ -138,38 +140,49 @@ def _scaled(values):
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def _field_bareiss(rows):
-    """Fraction-free elimination over a field, for data holding a Surd."""
-    n = len(rows)
-    M = [list(r) for r in rows]
-    zero = Fraction(0)
+def _bareiss(M, div):
+    """det M by fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
+
+    M is a nonempty square list of row lists, eliminated in place; only
+    the entries right of each pivot column are updated, since nothing
+    reads that column again.  Every division is exact, and ``div`` is the
+    one its scalars need: ``operator.floordiv`` on ints,
+    ``operator.truediv`` on Fractions and Surds.  A singular M whose
+    pivot column vanishes returns that column's zero entry, so a field
+    determinant 0 is the Fraction 0.
+    """
+    n = len(M)
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
-        if M[k][k] == zero:
+        if M[k][k] == 0:
             for i in range(k + 1, n):
-                if M[i][k] != zero:
+                if M[i][k] != 0:
                     M[k], M[i] = M[i], M[k]
                     sign = -sign
                     break
             else:
-                return zero
+                return M[k][k]
+        mkk = M[k][k]
+        row_k = M[k]
         for i in range(k + 1, n):
+            row_i = M[i]
+            mik = row_i[k]
             for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) / prev
-            M[i][k] = zero
-        prev = M[k][k]
-    out = M[n - 1][n - 1]
-    return -out if sign < 0 else out
+                row_i[j] = div(row_i[j] * mkk - mik * row_k[j], prev)
+        prev = mkk
+    return sign * M[-1][-1]
 
 
 def bareiss_det(rows):
     """The determinant by fraction-free (Bareiss) elimination, exactly.
 
-    Rational entries (ints and Fractions) are scaled once by the lcm D of
-    their denominators; ``_int_bareiss`` eliminates the integer copy and
-    the result is det / D^n, a Fraction.  Entries holding a Surd are
-    eliminated over their field.  A non-square matrix raises ValueError.
+    The matrix decides its division once.  Rational entries (ints and
+    Fractions) are scaled by the lcm D of their denominators, ``_bareiss``
+    eliminates the integer copy with ``//`` and the result is det / D^n, a
+    Fraction.  Entries holding a Surd are eliminated over their field with
+    ``/``, ints taken as Fractions so that no division runs in floats.  A
+    non-square matrix raises ValueError.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -178,9 +191,11 @@ def bareiss_det(rows):
         return Fraction(1)
     scaled = _scaled([x for row in rows for x in row])
     if scaled is None:
-        return _field_bareiss(rows)
+        return _bareiss([[Fraction(x) if isinstance(x, int) else x for x in row]
+                         for row in rows], operator.truediv)
     ints, den = scaled
-    return Fraction(_int_bareiss([ints[i:i + n] for i in range(0, n * n, n)]), den ** n)
+    return Fraction(_bareiss([ints[i:i + n] for i in range(0, n * n, n)], operator.floordiv),
+                    den ** n)
 
 
 def hankel_det(y, m: int):
@@ -298,47 +313,18 @@ class PsdVerdict(Record):
         return out
 
 
-def _int_bareiss(M):
-    """Bareiss determinant over plain ints (exact divisions via //)."""
-    n = len(M)
-    if n == 0:
-        return 1
-    M = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        mkk = M[k][k]
-        row_k = M[k]
-        for i in range(k + 1, n):
-            row_i = M[i]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * mkk - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = mkk
-    return sign * M[-1][-1]
-
-
-def _all_principal_minors_nonneg(rows):
+def _all_principal_minors_nonneg(rows, div):
     """Exhaustive principal-minor check; returns (ok, failing_subset, value).
 
-    ``_scan`` passes rational data as its integer copy (see ``_scaled``),
-    whose minors keep their signs and run through ``_int_bareiss``; other
-    exact rows go through ``bareiss_det``.
+    ``_bareiss`` eliminates each freshly built minor with ``div``, the
+    division that ``_scan`` chose once for the sequence: ``//`` on the
+    integer copy of rational data (see ``_scaled``), whose minors keep
+    their signs, and ``/`` on data holding a Surd.
     """
     n = len(rows)
-    det = _int_bareiss if all(type(x) is int for row in rows for x in row) else bareiss_det
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
-            value = det([[rows[i][j] for j in subset] for i in subset])
+            value = _bareiss([[rows[i][j] for j in subset] for i in subset], div)
             if value < 0:
                 return False, subset, value
     return True, None, None
@@ -597,16 +583,17 @@ def _scan(vals, n: int):
     minors, and a disagreement raises RuntimeError.  ``psd_status`` runs
     once, at the first order that is not PSD, for its witness.
 
-    Rational vals are scaled once to integers (``_scaled``): the
-    fraction-free recurrence and the minor cross-check both run on that
-    copy, whose minors and row entries keep their signs.  Vals holding a
-    Surd run both over their field.
+    The sequence decides integers or field once.  Rational vals are
+    scaled to integers (``_scaled``): the fraction-free recurrence and the
+    minor cross-check, with ``//``, both run on that copy, whose minors
+    and row entries keep their signs.  Vals holding a Surd run both over
+    their field, the cross-check with ``/``.
     """
     scaled = _scaled(vals)
     if scaled is None:
-        data, (norms, _, sigma) = vals, _field_chebyshev(vals, n)
+        data, div, (norms, _, sigma) = vals, operator.truediv, _field_chebyshev(vals, n)
     else:
-        data, (norms, _, sigma) = scaled[0], _int_chebyshev(*scaled, n)
+        data, div, (norms, _, sigma) = scaled[0], operator.floordiv, _int_chebyshev(*scaled, n)
     r = 0
     while r < len(norms) and norms[r] > 0:
         r += 1
@@ -623,7 +610,7 @@ def _scan(vals, n: int):
             k += 1
         for j in range(r, min(k, _MINOR_FALLBACK_LIMIT - 1) + 1):
             ok, subset, value = _all_principal_minors_nonneg(
-                [data[i:i + j + 1] for i in range(j + 1)])
+                [data[i:i + j + 1] for i in range(j + 1)], div)
             if not ok:
                 raise RuntimeError(f"internal disagreement at order {j}: "
                                    f"minor {subset} = {value} negative")

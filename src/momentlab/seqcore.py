@@ -192,6 +192,8 @@ class Sequence(Record):
 
     def prefix(self, n_max: int) -> "Sequence":
         """The sub-sequence y_0 .. y_{n_max}."""
+        if n_max < 0:
+            raise ValueError("n_max must be >= 0")
         if n_max + 1 > len(self.values):
             raise ValueError("prefix longer than available data")
         return Sequence(self.values[:n_max + 1], self.label, self.origin)

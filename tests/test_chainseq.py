@@ -38,8 +38,13 @@ def test_alpha_pole():
     lambda: ml.minimal_parameters([0.25] * 3),
     lambda: ml.is_chain_with_parameters([0.25], [Fraction(1, 2)] * 2),
     lambda: ml.is_chain_with_parameters([Fraction(1, 4)], [Fraction(1, 2), 0.5]),
-], ids=["alpha_sequence", "minimal_parameters", "is_chain_float_a", "is_chain_float_g"])
+    lambda: ml.alpha_sequence(ml.make_spec(1, 2, 1, 1), True, 2),
+    lambda: ml.minimal_parameters([True, False]),
+    lambda: ml.is_chain_with_parameters([Fraction(1, 4)], [False, Fraction(1, 4)]),
+], ids=["alpha_sequence", "minimal_parameters", "is_chain_float_a", "is_chain_float_g",
+        "alpha_sequence_bool", "minimal_parameters_bool", "is_chain_bool_g"])
 def test_float_input_raises_type_error(call):
+    # bools too: Python counts them as ints, JSON input means true/false
     with pytest.raises(TypeError):
         call()
 

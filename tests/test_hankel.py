@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,24 +77,33 @@ def test_hankel_det_negative_witness():
     assert ml.hankel_det(shifted, 1) == Fraction(-9, 2)
 
 
+surds = st.builds(lambda a, b: ml.Surd(a, b, 2), entries, entries)
+
+
 @given(st.integers(min_value=1, max_value=6),
-       st.sampled_from(["ints", "rational", "large denominators", "singular"]), st.data())
-@settings(max_examples=80, deadline=None)
+       st.sampled_from(["ints", "rational", "large denominators", "singular",
+                        "Q(sqrt 2), zero pivot", "Q(sqrt 2), singular"]), st.data())
+@settings(max_examples=120, deadline=None)
 def test_bareiss_matches_cofactor(n, kind, data):
+    field = kind.startswith("Q(sqrt 2)")
     scalars = {"ints": st.integers(min_value=-9, max_value=9),
                "large denominators": st.fractions(min_value=-3, max_value=3,
-                                                  max_denominator=10**9)}.get(kind, entries)
+                                                  max_denominator=10**9),
+               }.get(kind, surds if field else entries)
     rows = [[data.draw(scalars) for _ in range(n)] for _ in range(n)]
-    if kind == "singular":
+    if kind.endswith("zero pivot"):
+        # a zero leading entry: the elimination must swap in a later row
+        rows[0][0] = 0
+    if kind.endswith("singular"):
         # the last row combines two earlier ones (or vanishes when n = 1)
         others = st.integers(min_value=0, max_value=max(n - 2, 0))
-        i, j, c, d = data.draw(others), data.draw(others), data.draw(entries), data.draw(entries)
+        i, j, c, d = data.draw(others), data.draw(others), data.draw(scalars), data.draw(scalars)
         rows[-1] = [c * u + d * v for u, v in zip(rows[i], rows[j])] if n > 1 else [0]
     det = ml.bareiss_det(rows)
-    assert isinstance(det, Fraction)
+    assert isinstance(det, (Fraction, ml.Surd) if field else Fraction)
     assert det == cofactor_det([row[:] for row in rows])
-    if kind == "singular":
-        assert det == 0
+    if kind.endswith("singular"):
+        assert det == 0 and type(det) is Fraction
 
 
 def test_bareiss_det_stays_exact_on_ints():
@@ -168,8 +178,17 @@ def test_rational_data_never_reaches_the_field_recursion(monkeypatch):
     def field(*args):
         raise AssertionError("rational data reached a field routine")
 
+    divisions = []
+    bareiss = ml.hankel._bareiss
+
+    def integer_bareiss(M, div):
+        divisions.append(div)
+        if div is not operator.floordiv:
+            field()
+        return bareiss(M, div)
+
     monkeypatch.setattr(ml.hankel, "_field_chebyshev", field)
-    monkeypatch.setattr(ml.hankel, "_field_bareiss", field)
+    monkeypatch.setattr(ml.hankel, "_bareiss", integer_bareiss)
     spec, dela = ml.catalog_sequence("delannoy", 25)
     root = ml.sqrt_exact(2)
     # conjugate endpoints keep the combination sequence rational
@@ -180,6 +199,7 @@ def test_rational_data_never_reaches_the_field_recursion(monkeypatch):
     assert report.hamburger_ok_up_to == 1 and len(report.delta_values) == 11
     assert ml.recurrence_from_moments(dela, 12)[1][:2] == (4, 2)
     assert ml.ops_determinantal(dela, 4) == ml.ops_from_recurrence(spec, 4)[4]
+    assert divisions and set(divisions) == {operator.floordiv}
     # a one-sided interval puts the combination sequence in Q(sqrt 2)
     with pytest.raises(AssertionError, match="field routine"):
         ml.classify(dela, 3, interval=(Fraction(0), 3 + 2 * root))
@@ -560,12 +580,12 @@ def test_minor_cross_check_guards_the_row_rule(monkeypatch):
     calls = []
     minors = ml.hankel._all_principal_minors_nonneg
     monkeypatch.setattr(ml.hankel, "_all_principal_minors_nonneg",
-                        lambda rows: calls.append(len(rows)) or minors(rows))
+                        lambda rows, div: calls.append(len(rows)) or minors(rows, div))
     assert ml.classify([Fraction(2)] * 29, 14).passed
     assert calls == list(range(2, 13)) * 2
     calls.clear()
 
-    def disagree(rows):
+    def disagree(rows, div):
         calls.append(len(rows))
         return False, (0,), Fraction(-1)
 

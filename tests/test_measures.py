@@ -306,6 +306,8 @@ def test_check_g_nonneg():
         ml.check_g_nonneg((1.0,), Fraction(0), Fraction(4))
     with pytest.raises(TypeError):
         ml.check_g_nonneg((1,), 0.0, 4.0)
+    with pytest.raises(TypeError):
+        ml.check_g_nonneg((1, 0, -1), False, True)
     with pytest.raises(ValueError):
         ml.check_g_nonneg((1,), Fraction(4), Fraction(0))
 
@@ -606,6 +608,42 @@ def test_lincomb_interval_must_contain_the_support():
     ml.linear_combination_transform(dela, (1,), Fraction(17157, 10 ** 5), 6, density=dens)
     with pytest.raises(ValueError, match="does not contain the support"):
         ml.linear_combination_transform(dela, (1,), Fraction(17158, 10 ** 5), 6, density=dens)
+
+
+@pytest.mark.parametrize("g, interval", [
+    ((0, 4, -1), None),  # x (4 - x): both exponents rise by 1
+    ((0, 4, -1), (Fraction(0), Fraction(4))),
+    ((1, 1), (Fraction(-1), Fraction(5))),  # 1 + x vanishes only at -1, off [0, 4]
+])
+def test_transformed_density_of_a_lincomb_spec_matches_the_transform(g, interval):
+    # an omitted interval means the density's exact support
+    _, cat = ml.catalog_sequence("catalan", 14)
+    dens = ml.density_catalog("catalan")
+    tspec = ml.TransformSpec(ml.TransformSpec.LINEAR_COMBINATION, g=g, interval=interval)
+    got = ml.transformed_density(dens, tspec)
+    a, b = interval or (dens.a_exact, dens.b_exact)
+    _, want = ml.linear_combination_transform(cat, g, a, b, density=dens)
+    assert (got.a_exact, got.b_exact) == (want.a_exact, want.b_exact) == (0, 4)
+    assert (got.left_exponent, got.right_exponent) == (want.left_exponent,
+                                                      want.right_exponent)
+    assert all(got.factor(x) == want.factor(x) for x in (0.25, 1.5, 2.0, 3.75))
+    rise = Fraction(1) if g == (0, 4, -1) else Fraction(0)
+    assert got.left_exponent == dens.left_exponent + rise
+    assert got.right_exponent == dens.right_exponent + rise
+
+
+def test_transformed_density_of_a_lincomb_spec_rejects_bad_g_and_intervals():
+    dens = ml.density_catalog("catalan")  # on [0, 4]
+    lincomb = ml.TransformSpec.LINEAR_COMBINATION
+    # x (4 - x) < 0 just outside [0, 4]: fine on the support, not on [-1, 5]
+    with pytest.raises(ml.GNegative):
+        ml.transformed_density(dens, ml.TransformSpec(lincomb, g=(0, 4, -1),
+                                                      interval=(Fraction(-1), Fraction(5))))
+    with pytest.raises(ml.GNegative):
+        ml.transformed_density(dens, ml.TransformSpec(lincomb, g=(1, -1)))
+    with pytest.raises(ValueError, match="does not contain the support"):
+        ml.transformed_density(dens, ml.TransformSpec(lincomb, g=(1,),
+                                                      interval=(Fraction(0), Fraction(3))))
 
 
 def test_transform_measure_commutation():

@@ -173,6 +173,18 @@ def test_sequence_validation():
         ml.Sequence((0.5,))
 
 
+def test_prefix_rejects_every_negative_and_too_long_n_max():
+    seq = ml.Sequence([1, 1, 2, 5, 14], label="c")
+    for n_max in (-1, -3, -len(seq)):
+        with pytest.raises(ValueError, match=">= 0"):
+            seq.prefix(n_max)
+    with pytest.raises(ValueError, match="longer"):
+        seq.prefix(len(seq))
+    top = seq.prefix(len(seq) - 1)
+    assert top.values == seq.values and (top.label, top.origin) == ("c", seq.origin)
+    assert seq.prefix(0).values == (1,)
+
+
 def test_sequence_json_roundtrip():
     seq = ml.Sequence((Fraction(1), Fraction(1, 2), Fraction(-7, 3)), label="x")
     text = seq.to_json()
