@@ -31,16 +31,17 @@ at the first order that is not PSD: its multipliers give a witness v
 with v^T H v < 0 by back-substitution.  Determinants past a Hamburger
 failure come from fraction-free (Bareiss) elimination.
 
-Rational data is multiplied once by the lcm of its denominators, so the
-recursion (in its fraction-free form), the minor cross-check and Bareiss
-all run on plain integers with exact divisions; only data holding an
-irrational Surd runs them over its field.  One Bareiss kernel serves
-both: each matrix (``bareiss_det``) or sequence (``_scan``) decides
-integers or field once and passes the kernel its exact division.
+Each sequence (``_scan``) or matrix (``bareiss_det``) is multiplied once
+by the lcm of its denominators (``_scaled``), so the recursion (in its
+fraction-free form), the minor cross-check and Bareiss all run on one
+integral copy with exact ``//``: plain ints for rational data, and
+elements of Z[sqrt(r)] for data holding a Surd.  Norms, alphas and
+determinants convert back to the same Fractions and Surds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -49,8 +50,8 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import InsufficientData
-from .exact import Surd, ensure_fraction
-from .seqcore import Sequence, _values
+from .exact import Surd, ensure_fraction, is_exact
+from .seqcore import Sequence, _times, _values
 
 __all__ = [
     "SymMatrix",
@@ -122,34 +123,98 @@ def hankel_matrix(y, m: int, shift: int = 0) -> SymMatrix:
     ))
 
 
-def _scaled(values):
-    """``(ints, D)`` with ints[i] = D * values[i] and D the lcm of the
-    denominators, when every value is an int or a Fraction; else None.
+@functools.total_ordering
+class _Zr:
+    """a + b sqrt(r) in Z[sqrt(r)], for ints a, b and r > 0 not a square.
 
-    Multiplying by D > 0 scales every k x k minor by D^k and keeps each
-    sign, so rational Hankel data is decided on one integer copy.
+    The integral copy of data in Q(sqrt(t)) (see ``_scaled``).  + - * stay
+    in the ring, and ``//`` divides by e as x conj(e) // N(e), which is
+    exact wherever the kernels below divide: each quotient they take is a
+    minor of the data, an integer polynomial in its entries.  ``unit`` is
+    sqrt(r) as a Surd of the data's own radicand; ``_exact`` converts
+    through it, and Surd decides every sign.
     """
-    den = 1
+
+    __slots__ = ("a", "b", "r", "unit")
+
+    def __init__(self, a, b, r, unit):
+        self.a, self.b, self.r, self.unit = a, b, r, unit
+
+    def _new(self, a, b):
+        return _Zr(a, b, self.r, self.unit)
+
+    @staticmethod
+    def _parts(x):
+        return (x.a, x.b) if isinstance(x, _Zr) else (x, 0)
+
+    def __add__(self, other):
+        a, b = self._parts(other)
+        return self._new(self.a + a, self.b + b)
+
+    def __sub__(self, other):
+        a, b = self._parts(other)
+        return self._new(self.a - a, self.b - b)
+
+    def __neg__(self):
+        return self._new(-self.a, -self.b)
+
+    def __mul__(self, other):
+        a, b = self._parts(other)
+        return self._new(self.a * a + self.b * b * self.r, self.a * b + self.b * a)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        a, b = self._parts(other)
+        n = a * a - b * b * self.r
+        return self._new((self.a * a - self.b * b * self.r) // n, (self.b * a - self.a * b) // n)
+
+    def __eq__(self, other):
+        # sqrt(r) is irrational, so the parts decide equality
+        return self._parts(other) == (self.a, self.b)
+
+    def __lt__(self, other):
+        return _exact(self - other) < 0
+
+
+def _exact(x):
+    """x as the Fraction or Surd it is, for an int or a ``_Zr``."""
+    return Fraction(x.a) + x.b * x.unit if isinstance(x, _Zr) else Fraction(x)
+
+
+def _scaled(values):
+    """``(data, D)``: data[i] = D * values[i] on an integral ring, with D > 0
+    the lcm of the denominators.
+
+    Rational values become ints.  Values holding a Surd of Q(sqrt(p/q))
+    become ``_Zr``s of Z[sqrt(pq)], since b sqrt(p/q) = (b/q) sqrt(pq).
+    Multiplying by D > 0 scales every k x k minor by D^k and keeps each
+    sign, so Hankel data is decided on one integral copy.  This is the one
+    place the kernels test entry types: any other entry (a float, a bool)
+    raises TypeError, and Surds of two fields raise ValueError.
+    """
     for x in values:
-        if isinstance(x, Fraction):
-            d = x.denominator
-            if d != 1:
-                den = den // math.gcd(den, d) * d
-        elif not isinstance(x, int):
-            return None
-    return [x.numerator * (den // x.denominator) for x in values], den
+        if not is_exact(x):
+            raise TypeError(f"expected an exact rational or Surd, got {type(x).__name__}: {x!r}")
+    field = next((x for x in values if isinstance(x, Surd)), None)
+    if field is None:
+        den = math.lcm(*(x.denominator for x in values))
+        return [_times(x, den) for x in values], den
+    q = field.r.denominator
+    parts = [(a, b / q) for a, b in map(field._components, values)]
+    den = math.lcm(*(c.denominator for pair in parts for c in pair))
+    r, unit = field.r.numerator * q, Surd(0, q, field.r)
+    return [_Zr(_times(a, den), _times(b, den), r, unit) for a, b in parts], den
 
 
-def _bareiss(M, div):
+def _bareiss(M):
     """det M by fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
 
-    M is a nonempty square list of row lists, eliminated in place; only
-    the entries right of each pivot column are updated, since nothing
-    reads that column again.  Every division is exact, and ``div`` is the
-    one its scalars need: ``operator.floordiv`` on ints,
-    ``operator.truediv`` on Fractions and Surds.  A singular M whose
-    pivot column vanishes returns that column's zero entry, so a field
-    determinant 0 is the Fraction 0.
+    M is a nonempty square list of row lists over ints or one ``_Zr``
+    ring, eliminated in place; only the entries right of each pivot column
+    are updated, since nothing reads that column again.  Every division is
+    exact, so ``//`` serves both rings.  A singular M whose pivot column
+    vanishes returns that column's zero entry.
     """
     n = len(M)
     sign = 1
@@ -169,7 +234,7 @@ def _bareiss(M, div):
             row_i = M[i]
             mik = row_i[k]
             for j in range(k + 1, n):
-                row_i[j] = div(row_i[j] * mkk - mik * row_k[j], prev)
+                row_i[j] = (row_i[j] * mkk - mik * row_k[j]) // prev
         prev = mkk
     return sign * M[-1][-1]
 
@@ -177,25 +242,20 @@ def _bareiss(M, div):
 def bareiss_det(rows):
     """The determinant by fraction-free (Bareiss) elimination, exactly.
 
-    The matrix decides its division once.  Rational entries (ints and
-    Fractions) are scaled by the lcm D of their denominators, ``_bareiss``
-    eliminates the integer copy with ``//`` and the result is det / D^n, a
-    Fraction.  Entries holding a Surd are eliminated over their field with
-    ``/``, ints taken as Fractions so that no division runs in floats.  A
-    non-square matrix raises ValueError.
+    ``_scaled`` takes the entries to one integral copy, ints for rational
+    entries and ``_Zr``s for entries holding a Surd, scaled by the lcm D
+    of their denominators; ``_bareiss`` eliminates it with ``//``, and
+    the result is det / D^n as a Fraction or Surd.  A non-square matrix
+    raises ValueError, an entry that is not an int, Fraction or Surd
+    raises TypeError, and Surds of two fields raise ValueError.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
     if n == 0:
         return Fraction(1)
-    scaled = _scaled([x for row in rows for x in row])
-    if scaled is None:
-        return _bareiss([[Fraction(x) if isinstance(x, int) else x for x in row]
-                         for row in rows], operator.truediv)
-    ints, den = scaled
-    return Fraction(_bareiss([ints[i:i + n] for i in range(0, n * n, n)], operator.floordiv),
-                    den ** n)
+    data, den = _scaled([x for row in rows for x in row])
+    return _exact(_bareiss([data[i:i + n] for i in range(0, n * n, n)])) / den ** n
 
 
 def hankel_det(y, m: int):
@@ -216,23 +276,19 @@ def _chebyshev(vals, n: int):
     All three stop after the first zero norm, beyond which P_{r+1} does
     not exist.  Needs len(vals) >= 2n+1.
 
-    Rational data runs fraction-free on one integer copy (``_scaled``,
-    ``_int_chebyshev``): norms and alphas are the same Fractions, and the
-    row is sigma_{r,l} times a positive factor, which keeps every sign and
-    zero that ``_scan`` reads.  Data holding a Surd runs
-    ``_field_chebyshev``, whose row is sigma_{r,l} itself.
+    The data runs fraction-free on its integral copy (``_scaled``,
+    ``_int_chebyshev``): norms and alphas are the same Fractions and Surds
+    as over the field, and the row is sigma_{r,l} times a positive factor,
+    which keeps every sign and zero that ``_scan`` reads.
     """
-    scaled = _scaled(vals)
-    if scaled is None:
-        return _field_chebyshev(vals, n)
-    return _int_chebyshev(*scaled, n)
+    return _int_chebyshev(*_scaled(vals), n)
 
 
 def _int_chebyshev(ints, den: int, n: int):
-    """``_chebyshev`` on ints = den * y, in integer arithmetic.
+    """``_chebyshev`` on ints = den * y, over ints or one ``_Zr`` ring.
 
-    The row T_{k,l} = Delta_{k-1} sigma_{k,l} of the integer data is a
-    bordered Hankel determinant, hence an integer, and with
+    The row T_{k,l} = Delta_{k-1} sigma_{k,l} of the integral data is a
+    bordered Hankel determinant, hence in the ring, and with
     Delta_k = T_{k,k} (Delta_{-1} = 1, T_{-1,l} = 0) it satisfies
     T_{k+1,l} = [Delta_{k-1} (Delta_k T_{k,l+1} - T_{k,k+1} T_{k,l})
                  + Delta_k (T_{k-1,k} T_{k,l} - Delta_k T_{k-1,l})] / Delta_{k-1}^2,
@@ -245,11 +301,11 @@ def _int_chebyshev(ints, den: int, n: int):
     norms, alphas = [], []
     for k in range(n + 1):
         d = row[k]
-        norms.append(Fraction(d, d_prev * den))
+        norms.append(_exact(d) / _exact(d_prev * den))
         if d == 0 or 2 * k + 2 > size:
             break
         a, b = d_prev * d, d * prev[k] - d_prev * row[k + 1]
-        alphas.append(Fraction(-b, a))
+        alphas.append(_exact(-b) / _exact(a))
         if k == n:
             break
         c, e = d * d, d_prev * d_prev
@@ -259,29 +315,6 @@ def _int_chebyshev(ints, den: int, n: int):
         d_prev = d
     # row = den Delta_{r-1} sigma_{r,l}: make the factor positive
     return norms, alphas, row if d_prev > 0 else [-x for x in row]
-
-
-def _field_chebyshev(vals, n: int):
-    """``_chebyshev`` over the field of the values, with only + - * / and
-    comparisons; the row is sigma_{r,l} itself."""
-    zero = Fraction(0)
-    size = len(vals)
-    prev, row = [zero] * size, list(vals)
-    norms, alphas = [], []
-    for k in range(n + 1):
-        norm = row[k]
-        norms.append(norm)
-        if norm == 0 or 2 * k + 2 > size:
-            break
-        alpha = row[k + 1] / norm - (prev[k] / norms[k - 1] if k else zero)
-        beta = norm / norms[k - 1] if k else zero
-        alphas.append(alpha)
-        if k == n:
-            break
-        prev, row = row, [zero] * (k + 1) + [
-            row[l + 1] - alpha * row[l] - beta * prev[l]
-            for l in range(k + 1, size - k - 1)]
-    return norms, alphas, row
 
 
 class PsdVerdict(Record):
@@ -313,18 +346,17 @@ class PsdVerdict(Record):
         return out
 
 
-def _all_principal_minors_nonneg(rows, div):
+def _all_principal_minors_nonneg(rows):
     """Exhaustive principal-minor check; returns (ok, failing_subset, value).
 
-    ``_bareiss`` eliminates each freshly built minor with ``div``, the
-    division that ``_scan`` chose once for the sequence: ``//`` on the
-    integer copy of rational data (see ``_scaled``), whose minors keep
-    their signs, and ``/`` on data holding a Surd.
+    ``rows`` is the integral copy that ``_scan`` got from ``_scaled``,
+    whose minors keep their signs; ``_bareiss`` eliminates each freshly
+    built minor.
     """
     n = len(rows)
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
-            value = _bareiss([[rows[i][j] for j in subset] for i in subset], div)
+            value = _bareiss([[rows[i][j] for j in subset] for i in subset])
             if value < 0:
                 return False, subset, value
     return True, None, None
@@ -583,17 +615,12 @@ def _scan(vals, n: int):
     minors, and a disagreement raises RuntimeError.  ``psd_status`` runs
     once, at the first order that is not PSD, for its witness.
 
-    The sequence decides integers or field once.  Rational vals are
-    scaled to integers (``_scaled``): the fraction-free recurrence and the
-    minor cross-check, with ``//``, both run on that copy, whose minors
-    and row entries keep their signs.  Vals holding a Surd run both over
-    their field, the cross-check with ``/``.
+    The recurrence and the minor cross-check both run on the integral copy
+    from ``_scaled``, ints or ``_Zr``s, whose minors and row entries keep
+    their signs.
     """
-    scaled = _scaled(vals)
-    if scaled is None:
-        data, div, (norms, _, sigma) = vals, operator.truediv, _field_chebyshev(vals, n)
-    else:
-        data, div, (norms, _, sigma) = scaled[0], operator.floordiv, _int_chebyshev(*scaled, n)
+    data, den = _scaled(vals)
+    norms, _, sigma = _int_chebyshev(data, den, n)
     r = 0
     while r < len(norms) and norms[r] > 0:
         r += 1
@@ -610,10 +637,10 @@ def _scan(vals, n: int):
             k += 1
         for j in range(r, min(k, _MINOR_FALLBACK_LIMIT - 1) + 1):
             ok, subset, value = _all_principal_minors_nonneg(
-                [data[i:i + j + 1] for i in range(j + 1)], div)
+                [data[i:i + j + 1] for i in range(j + 1)])
             if not ok:
                 raise RuntimeError(f"internal disagreement at order {j}: "
-                                   f"minor {subset} = {value} negative")
+                                   f"minor {subset} = {_exact(value)} negative")
         statuses += [PsdVerdict.PSD_SINGULAR] * (k - r + 1)
         if k == n:
             return norms, statuses, None, None
@@ -639,12 +666,11 @@ def classify(y, m: int, interval=None) -> MomentClassReport:
     the failure witness; see ``_scan``.  delta_k is the product of the
     norms up to the first zero norm, 0 for every PSD order past it, and a
     Bareiss determinant only for orders past a Hamburger failure.  Each
-    rational sequence among the three runs in integer arithmetic on one
-    scaled copy, and so do the Bareiss determinants of rational data;
-    only a combination sequence with irrational entries (an interval
-    such as [0, s + 2 sqrt(t)]) runs over Q(sqrt(t)).  Interval endpoints
-    are coerced like sequence entries, so a float endpoint raises
-    TypeError.
+    of the three sequences, and each determinant, runs on one integral
+    copy (``_scaled``): ints for rational data, and Z[sqrt(r)] for a
+    combination sequence with irrational entries (an interval such as
+    [0, s + 2 sqrt(t)]).  Interval endpoints are coerced like sequence
+    entries, so a float endpoint raises TypeError.
     """
     if m < 0:
         raise ValueError("order must be >= 0")

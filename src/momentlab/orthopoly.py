@@ -158,6 +158,9 @@ def ops_determinantal(y, n: int) -> MonicPolynomial:
 
     Expanding the determinant along its final row (1, x, ..., x^n) gives
     the coefficient of x^j as a signed maximal minor of the first n rows.
+    The moments it reads, y_0..y_{2n-1}, must be rational, as the
+    coefficients of a ``MonicPolynomial`` are: a Surd among them raises
+    TypeError before any determinant runs.
     """
     from .hankel import bareiss_det
     vals = _values(y)
@@ -167,6 +170,7 @@ def ops_determinantal(y, n: int) -> MonicPolynomial:
         return MonicPolynomial((Fraction(1),))
     if len(vals) < 2 * n:
         raise InsufficientData(f"need {2 * n} moments for degree {n}")
+    vals = [ensure_fraction(v) for v in vals[:2 * n]]
     top = [[vals[i + j] for j in range(n + 1)] for i in range(n)]
     delta = bareiss_det([row[:n] for row in top])
     if delta == 0:

@@ -22,7 +22,7 @@ import itertools
 import math
 import os
 
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 import pytest
 
 # HYPOTHESIS_PROFILE selects the profile; unset, every test keeps its own
@@ -282,6 +282,26 @@ def reference_classify(y, m, interval=None):
     )
 
 
+@st.composite
+def quadratic_field_prefixes(draw, min_order=0, max_order=6):
+    """(vals, n) with len(vals) >= 2n+1 over Q(sqrt 2), Q(sqrt 3) or
+    Q(sqrt(5/7)): random entries a + b sqrt(t), some of them rational, or
+    the moments of an atomic measure with nodes in the field, whose norm
+    N_rank is planted at zero."""
+    import momentlab as ml
+
+    root = ml.sqrt_exact(draw(st.sampled_from([2, 3, Fraction(5, 7)])))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    n = draw(st.integers(min_value=min_order, max_value=max_order))
+    size = 2 * n + 1 + draw(st.integers(min_value=0, max_value=2))
+    if draw(st.booleans()):
+        weights = st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=3)
+        pairs = [(draw(weights), draw(small) + draw(small) * root)
+                 for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+        return [sum(w * x ** k for w, x in pairs) for k in range(size)], n
+    return [draw(small) + draw(small) * root for _ in range(size)], n
+
+
 def reference_chebyshev(vals, n):
     """``hankel._chebyshev`` as it ran on every input before rational data
     moved to integers: the field recursion on sigma_{k,l} = L[P_k x^l]
@@ -399,7 +419,7 @@ def reference_recurrence(y, n):
     s_k = L[x P_k^2] / L[P_k^2], t_k = L[P_k^2] / L[P_{k-1}^2]."""
     import momentlab as ml
 
-    vals = [Fraction(v) for v in y]
+    vals = [v if isinstance(v, ml.Surd) else Fraction(v) for v in y]
     if len(vals) < 2 * n:
         raise ml.InsufficientData(f"need {2 * n} moments for depth {n}")
 

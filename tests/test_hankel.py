@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 import itertools
-import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +11,7 @@ from conftest import (
     cofactor_det,
     examples,
     principal_minors_nonneg,
+    quadratic_field_prefixes,
     reference_chebyshev,
     reference_classify,
     reference_psd_status,
@@ -109,11 +109,18 @@ def test_bareiss_matches_cofactor(n, kind, data):
 def test_bareiss_det_stays_exact_on_ints():
     det = ml.bareiss_det([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
     assert det == -3 and isinstance(det, Fraction)
+    # a float or a bool entry raises, beside a Surd too, instead of being computed with
+    for rows in ([[0.5, 1], [1, 3]], [[True, 1], [1, 3]], [[ml.sqrt_exact(2), 0.5], [1, 3]]):
+        with pytest.raises(TypeError, match="exact rational or Surd"):
+            ml.bareiss_det(rows)
 
 
 def test_bareiss_det_rejects_a_non_square_matrix():
     with pytest.raises(ValueError, match="square"):
         ml.bareiss_det([[1, 2, 3], [4, 5, 6]])
+    # and Surds of two fields: sqrt(2) and sqrt(3) share no quadratic field
+    with pytest.raises(ValueError, match="incompatible radicands"):
+        ml.bareiss_det([[ml.sqrt_exact(2), 1], [1, ml.sqrt_exact(3)]])
 
 
 @pytest.mark.parametrize("call, expected", [
@@ -174,21 +181,33 @@ def test_chebyshev_matches_the_field_recursion(case):
     assert [sign(v) for v in row] == [sign(v) for v in ref_row]
 
 
+@given(quadratic_field_prefixes())
+@settings(max_examples=examples(60), deadline=None)
+def test_chebyshev_matches_the_field_recursion_over_quadratic_fields(case):
+    # the same Fractions and Surds, radicand included; the row keeps every
+    # sign and zero of sigma_{r,l}
+    vals, n = case
+    norms, alphas, row = ml.hankel._chebyshev(vals, n)
+    ref_norms, ref_alphas, ref_row = reference_chebyshev(vals, n)
+    assert [repr(v) for v in norms + alphas] == [repr(v) for v in ref_norms + ref_alphas]
+    assert [sign(v) for v in row] == [sign(v) for v in ref_row]
+
+
 def test_rational_data_never_reaches_the_field_recursion(monkeypatch):
-    def field(*args):
-        raise AssertionError("rational data reached a field routine")
+    # rational data reaches both integral kernels as plain ints only
+    kinds = set()
+    bareiss, chebyshev = ml.hankel._bareiss, ml.hankel._int_chebyshev
 
-    divisions = []
-    bareiss = ml.hankel._bareiss
+    def integer_bareiss(M):
+        kinds.update(type(x) for row in M for x in row)
+        return bareiss(M)
 
-    def integer_bareiss(M, div):
-        divisions.append(div)
-        if div is not operator.floordiv:
-            field()
-        return bareiss(M, div)
+    def integer_chebyshev(ints, den, n):
+        kinds.update(type(x) for x in ints)
+        return chebyshev(ints, den, n)
 
-    monkeypatch.setattr(ml.hankel, "_field_chebyshev", field)
     monkeypatch.setattr(ml.hankel, "_bareiss", integer_bareiss)
+    monkeypatch.setattr(ml.hankel, "_int_chebyshev", integer_chebyshev)
     spec, dela = ml.catalog_sequence("delannoy", 25)
     root = ml.sqrt_exact(2)
     # conjugate endpoints keep the combination sequence rational
@@ -199,10 +218,11 @@ def test_rational_data_never_reaches_the_field_recursion(monkeypatch):
     assert report.hamburger_ok_up_to == 1 and len(report.delta_values) == 11
     assert ml.recurrence_from_moments(dela, 12)[1][:2] == (4, 2)
     assert ml.ops_determinantal(dela, 4) == ml.ops_from_recurrence(spec, 4)[4]
-    assert divisions and set(divisions) == {operator.floordiv}
+    assert kinds == {int}
     # a one-sided interval puts the combination sequence in Q(sqrt 2)
-    with pytest.raises(AssertionError, match="field routine"):
-        ml.classify(dela, 3, interval=(Fraction(0), 3 + 2 * root))
+    kinds.clear()
+    assert ml.classify(dela, 3, interval=(Fraction(0), 3 + 2 * root)).passed
+    assert ml.hankel._Zr in kinds
 
 
 # -- definiteness --------------------------------------------------------
@@ -580,12 +600,12 @@ def test_minor_cross_check_guards_the_row_rule(monkeypatch):
     calls = []
     minors = ml.hankel._all_principal_minors_nonneg
     monkeypatch.setattr(ml.hankel, "_all_principal_minors_nonneg",
-                        lambda rows, div: calls.append(len(rows)) or minors(rows, div))
+                        lambda rows: calls.append(len(rows)) or minors(rows))
     assert ml.classify([Fraction(2)] * 29, 14).passed
     assert calls == list(range(2, 13)) * 2
     calls.clear()
 
-    def disagree(rows, div):
+    def disagree(rows):
         calls.append(len(rows))
         return False, (0,), Fraction(-1)
 

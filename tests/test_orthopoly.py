@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import momentlab as ml
 from conftest import (count_sign_changes, jacobi_norm, ops_values, poly_mul,
-                      reference_ops_zeros, reference_recurrence)
+                      quadratic_field_prefixes, reference_ops_zeros, reference_recurrence)
 
 
 def test_p0_is_one():
@@ -28,6 +28,14 @@ def test_motzkin_p2():
     spec = ml.make_spec(1, 1, 1, 1)
     polys = ml.ops_from_recurrence(spec, 2)
     assert polys[2].coefficients == (0, -2, 1)       # x^2 - 2x
+
+
+def test_determinantal_rejects_surd_moments_before_any_determinant(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ml.hankel, "bareiss_det", lambda rows: calls.append(rows))
+    with pytest.raises(TypeError, match="exact rational, got Surd"):
+        ml.ops_determinantal([1, ml.sqrt_exact(2), 3, 5, 17], 2)
+    assert calls == []
 
 
 def test_monic_validation():
@@ -280,3 +288,12 @@ def test_recovery_matches_reference_on_rational_prefixes(n, data):
                            min_size=2 * n, max_size=2 * n + 2))
     assert (recovery_outcome(ml.recurrence_from_moments, y, n)
             == recovery_outcome(reference_recurrence, y, n))
+
+
+@given(quadratic_field_prefixes(min_order=1))
+@settings(max_examples=60, deadline=None)
+def test_recovery_matches_reference_over_quadratic_fields(case):
+    # the same Fractions and Surds, radicand included, or the same failing order
+    y, n = case
+    assert (repr(recovery_outcome(ml.recurrence_from_moments, y, n))
+            == repr(recovery_outcome(reference_recurrence, y, n)))
