@@ -1,17 +1,18 @@
-"""Monic orthogonal polynomials: three routes to the same objects.
+"""Monic orthogonal polynomials: one recurrence, checked from the moments.
 
 The recurrence P_{k+1} = (x - s_k) P_k - t_k P_{k-1} builds the monic
-OPS directly from (sigma, tau); the bordered Hankel determinant builds
-it from raw moments; and the moment functional recovers (sigma, tau)
-back from the sequence.  All three agree exactly.
+OPS directly from (sigma, tau), and the moment functional recovers
+(sigma, tau) back from the sequence.  The bordered Hankel determinant,
+built here from ``bareiss_det``, gives the same P_n from raw moments,
+exactly.
 
 Run:  python3 demos/03_orthogonal_polynomials.py
 """
 
 from momentlab import (
+    bareiss_det,
     catalog_sequence,
     make_spec,
-    ops_determinantal,
     ops_from_recurrence,
     ops_zeros,
     recurrence_from_moments,
@@ -28,6 +29,16 @@ def product(a, b):
             out[i + j] += ca * cb
     return out
 
+
+def bordered_determinant(y, n):
+    """Ascending coefficients of P_n: det H_{n-1} bordered by the row
+    (1, x, ..., x^n), expanded along that row and divided by det H_{n-1}."""
+    top = [[y[i + j] for j in range(n + 1)] for i in range(n)]
+    delta = bareiss_det([row[:n] for row in top])
+    return tuple((-1) ** (n + j) * bareiss_det([row[:j] + row[j + 1:] for row in top]) / delta
+                 for j in range(n + 1))
+
+
 spec, seq = catalog_sequence("catalan", 19)
 polys = ops_from_recurrence(spec, 4)
 print("Catalan monic OPS from the recurrence:")
@@ -37,8 +48,8 @@ for k, poly in enumerate(polys):
 print()
 print("Bordered-determinant route from the raw moments agrees exactly:")
 for n in range(5):
-    assert ops_determinantal(seq, n).coefficients == polys[n].coefficients
-print("  ops_determinantal(y, n) == ops_from_recurrence(spec, n)[n] for n <= 4")
+    assert bordered_determinant(seq, n) == polys[n].coefficients
+print("  bordered_determinant(y, n) == ops_from_recurrence(spec, n)[n] for n <= 4")
 
 print()
 print("Orthogonality under the moment functional L (x^n -> y_n):")

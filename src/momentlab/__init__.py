@@ -30,13 +30,12 @@ _EXPORTS = {
         "spec_from_prefixes",
     ),
     "hankel": (
-        "HausdorffVerdict", "MomentClassReport", "PsdVerdict", "SymMatrix",
-        "bareiss_det", "classify", "hankel_det", "hankel_matrix",
-        "hausdorff_combination", "hausdorff_test", "psd_status", "shift",
+        "MomentClassReport", "PsdVerdict", "SymMatrix", "bareiss_det", "classify",
+        "hankel_det", "hankel_matrix", "hausdorff_combination", "psd_status", "shift",
     ),
     "orthopoly": (
-        "MonicPolynomial", "ops_determinantal", "ops_from_recurrence", "ops_zeros",
-        "recurrence_from_moments", "riesz", "true_interval_estimate",
+        "MonicPolynomial", "ops_from_recurrence", "ops_zeros", "recurrence_from_moments",
+        "riesz", "true_interval_estimate",
     ),
     "chainseq": (
         "ChainVerdict", "SupportCertificate", "SupportReport", "alpha_sequence",

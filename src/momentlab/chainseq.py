@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import HypothesisFailure, LengthMismatch, PoleAt, ZeroTau
-from .exact import ensure_fraction, format_rational, is_exact, sqrt_exact
+from .exact import _require_int, ensure_fraction, format_rational, is_exact, sqrt_exact
 from .orthopoly import true_interval_estimate
 from .seqcore import SigmaTauSpec
 
@@ -369,6 +369,9 @@ def certify_support(spec: SigmaTauSpec, n_check: int = 200) -> SupportReport:
     When p = b, alpha_0 has a pole there, and that endpoint's chain is
     reported failed at 0.
     """
+    _require_int("n_check", n_check)
+    if n_check < 0:
+        raise ValueError("n_check must be >= 0")
     short = spec.shorthand
     if short is None:
         raise ValueError("support certification needs (p, s; q, t) shorthand data")

@@ -25,10 +25,11 @@ negative on the interval; 2 on bad input: option errors, unreadable or
 malformed sequence files, an interval a,b without a < b or given with
 --sub (it applies to --lincomb only), a --lincomb interval that does not
 contain the catalog density's support, --s or --t without --interval,
---name together with --input on transform, --check-n or --tol on transform
-without --verify, a tolerance that is not a finite number above 0, an n
-whose moments overflow a double, a --sub d whose pushforward has b^d or
-too much mass outside the doubles, and any other library error.
+--name together with --input on transform or with any of --p --s --q --t
+on gen and ops, --check-n or --tol on transform without --verify, a
+tolerance that is not a finite number above 0, an n whose moments
+overflow a double, a --sub d whose pushforward has b^d or too much mass
+outside the doubles, and any other library error.
 The environment variable MOMENTLAB_PRECISION overrides the default
 quadrature tolerance.
 """
@@ -135,13 +136,15 @@ def _interval_from_args(args, parser):
 
 
 def _spec_from_args(args, parser) -> seqcore.SigmaTauSpec:
+    quad = (args.p, args.s, args.q, args.t)
     if args.name is not None:
+        if any(v is not None for v in quad):
+            parser.error("give --name or --p --s --q --t, not both")
         if args.name not in seqcore.CATALOG:
             parser.error(f"unknown catalog name {args.name!r}; "
                          f"choose from {', '.join(seqcore.catalog_names())}")
         p, s, q, t = seqcore.CATALOG[args.name]
         return seqcore.make_spec(p, s, q, t, label=args.name)
-    quad = (args.p, args.s, args.q, args.t)
     if any(v is None for v in quad):
         parser.error("provide --name or all of --p --s --q --t")
     return seqcore.make_spec(*quad)

@@ -298,3 +298,11 @@ def is_exact(x) -> bool:
     """True for scalars that support exact arithmetic and ordering: ints,
     Fractions and Surds, but not bools (see ``ensure_fraction``)."""
     return isinstance(x, (int, Fraction, Surd)) and not isinstance(x, bool)
+
+
+def _require_int(name: str, value) -> None:
+    """Raise TypeError unless ``value`` is an int that is not a bool: an
+    index, exponent or count given as a float or a bool is a caller's error,
+    not a number to round."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}: {value!r}")

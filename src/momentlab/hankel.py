@@ -13,7 +13,10 @@ existence of representing measures:
 
 where E is the left-shift operator.  A finite prefix can only verify
 these up to some order, so every report states the largest order it
-actually checked and never claims the infinite statement.
+actually checked and never claims the infinite statement.  ``classify``
+decides all three families; the matrices (``hankel_matrix``,
+``hausdorff_combination``), ``psd_status`` and the determinants stay
+public so that a reader can re-check each witness and delta it reports.
 
 All decisions here are exact.  One Chebyshev recursion per sequence
 gives the norms N_k = delta_k / delta_{k-1} of its monic orthogonal
@@ -50,13 +53,12 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import InsufficientData
-from .exact import Surd, ensure_fraction, is_exact
+from .exact import Surd, _require_int, ensure_fraction, is_exact
 from .seqcore import Sequence, _times, _values
 
 __all__ = [
     "SymMatrix",
     "PsdVerdict",
-    "HausdorffVerdict",
     "MomentClassReport",
     "hankel_matrix",
     "hankel_det",
@@ -64,7 +66,6 @@ __all__ = [
     "psd_status",
     "shift",
     "hausdorff_combination",
-    "hausdorff_test",
     "classify",
 ]
 
@@ -483,7 +484,10 @@ def hausdorff_combination(y, a, b, m: int) -> SymMatrix:
 
     ``a`` and ``b`` may be Fractions or Surds; for conjugate endpoints
     s -/+ 2 sqrt(t) both a+b and ab come out as Fractions, so the matrix
-    stays rational even when the endpoints are irrational.
+    stays rational even when the endpoints are irrational.  A "hausdorff"
+    failure witness of ``classify`` at order k is a vector v with
+    v^T M v < 0 for this matrix M at order k, or for H_k(y) when only
+    that one fails there.
     """
     a, b = _endpoints((a, b))
     vals = _values(y)
@@ -491,31 +495,6 @@ def hausdorff_combination(y, a, b, m: int) -> SymMatrix:
     if len(vals) < need:
         raise InsufficientData(f"need {need} values for order {m}, have {len(vals)}")
     return hankel_matrix(_combination_sequence(vals, a, b, 2 * m + 1), m)
-
-
-class HausdorffVerdict(Record):
-    """Verdicts for H_m(y) and the interval combination matrix."""
-
-    base: PsdVerdict
-    combination: PsdVerdict
-
-    @property
-    def passed(self) -> bool:
-        return self.base.is_psd and self.combination.is_psd
-
-    def to_dict(self) -> dict:
-        return {"base": self.base.to_dict(),
-                "combination": self.combination.to_dict(),
-                "passed": self.passed}
-
-
-def hausdorff_test(y, a, b, m: int) -> HausdorffVerdict:
-    """Order-m test for a representing measure on [a, b]."""
-    if not (a < b):
-        raise ValueError("need a < b")
-    base = psd_status(hankel_matrix(y, m))
-    combo = psd_status(hausdorff_combination(y, a, b, m))
-    return HausdorffVerdict(base, combo)
 
 
 class MomentClassReport(Record):
@@ -670,8 +649,10 @@ def classify(y, m: int, interval=None) -> MomentClassReport:
     copy (``_scaled``): ints for rational data, and Z[sqrt(r)] for a
     combination sequence with irrational entries (an interval such as
     [0, s + 2 sqrt(t)]).  Interval endpoints are coerced like sequence
-    entries, so a float endpoint raises TypeError.
+    entries, so a float endpoint raises TypeError, as does an m that is
+    not an int.
     """
+    _require_int("m", m)
     if m < 0:
         raise ValueError("order must be >= 0")
     if interval is not None:

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 
 from ._record import Record
 from .errors import GNegative, InsufficientData, NonIntegrable, TooShort, UnknownName
-from .exact import Surd, ensure_fraction, is_exact
+from .exact import Surd, _require_int, ensure_fraction, is_exact
 from .roots import horner, sturm_counter, trim, vanishing_order
 from .seqcore import Sequence
 
@@ -363,6 +363,8 @@ class TransformSpec(Record):
     def __post_init__(self):
         if self.kind not in (self.SUBSEQUENCE, self.LINEAR_COMBINATION):
             raise ValueError(f"unknown transform kind {self.kind!r}")
+        _require_int("d", self.d)
+        _require_int("offset", self.offset)
         if self.kind == self.SUBSEQUENCE and (self.d < 1 or self.offset < 0):
             raise ValueError("subsequence needs d >= 1 and offset >= 0")
         if self.kind == self.LINEAR_COMBINATION:
@@ -379,6 +381,8 @@ def transform_length(transform: TransformSpec, n: int) -> int:
 
 def subsequence_transform(y, d: int, offset: int = 0) -> Sequence:
     """The affine subsequence k -> y_{dk + offset}."""
+    _require_int("d", d)
+    _require_int("offset", offset)
     if d < 1 or offset < 0:
         raise ValueError("need d >= 1 and offset >= 0")
     vals = y.values if isinstance(y, Sequence) else tuple(y)
@@ -392,6 +396,7 @@ def subsequence_transform(y, d: int, offset: int = 0) -> Sequence:
 def transform_support(interval, d: int):
     """Image of an interval under x -> x^d, exactly for exact endpoints."""
     a, b = interval
+    _require_int("d", d)
     if d < 1:
         raise ValueError("need d >= 1")
     if d % 2 == 1:
@@ -549,6 +554,7 @@ def transformed_density_linear(dens: Density, coeffs) -> Density:
 def translate_density(dens: Density, offset: int) -> Density:
     """The density x^offset w(x): the linear transform with g = x^offset,
     so an exponent shifts only at an endpoint that is exactly zero."""
+    _require_int("offset", offset)
     if offset == 0:
         return dens
     if offset < 0:
@@ -575,6 +581,7 @@ def pushforward_power(dens: Density, d: int) -> Density:
     from transform_support.  A d for which b^d is not a finite double
     raises ValueError.
     """
+    _require_int("d", d)
     if d < 1:
         raise ValueError("need d >= 1")
     if d == 1:

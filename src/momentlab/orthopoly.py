@@ -1,13 +1,11 @@
 """Monic orthogonal polynomials attached to a moment sequence.
 
-Three equivalent descriptions are implemented and cross-checkable:
-
-* the three-term recurrence P_{k+1} = (x - s_k) P_k - t_k P_{k-1} built
-  directly from (sigma, tau) data,
-* recovery of (sigma, tau) from a raw moment prefix through the linear
-  functional L sending x^n to y_n (possible exactly when all Hankel
-  determinants are nonzero),
-* the bordered-Hankel determinant formula for P_n.
+P_n comes from one route, the three-term recurrence
+P_{k+1} = (x - s_k) P_k - t_k P_{k-1} on (sigma, tau) data.  A raw moment
+prefix reaches it through ``recurrence_from_moments``, which recovers
+(sigma, tau) through the linear functional L sending x^n to y_n
+(possible exactly when all Hankel determinants are nonzero).  The tests
+check both against the bordered-Hankel determinant formula for P_n.
 
 Polynomial coefficients and recovered coefficients stay exact rational.
 Zeros are binary64 values, each the correctly rounded image of the exact
@@ -33,7 +31,6 @@ __all__ = [
     "riesz",
     "ops_from_recurrence",
     "recurrence_from_moments",
-    "ops_determinantal",
     "ops_zeros",
     "true_interval_estimate",
 ]
@@ -151,38 +148,6 @@ def recurrence_from_moments(y, n: int):
         raise QuasiDefiniteFailure(len(norms) - 1)
     tau = tuple(norms[k] / norms[k - 1] for k in range(1, n))
     return tuple(alphas), tau
-
-
-def ops_determinantal(y, n: int) -> MonicPolynomial:
-    """P_n by the bordered Hankel determinant, divided by det H_{n-1}.
-
-    Expanding the determinant along its final row (1, x, ..., x^n) gives
-    the coefficient of x^j as a signed maximal minor of the first n rows.
-    The moments it reads, y_0..y_{2n-1}, must be rational, as the
-    coefficients of a ``MonicPolynomial`` are: a Surd among them raises
-    TypeError before any determinant runs.
-    """
-    from .hankel import bareiss_det
-    vals = _values(y)
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if n == 0:
-        return MonicPolynomial((Fraction(1),))
-    if len(vals) < 2 * n:
-        raise InsufficientData(f"need {2 * n} moments for degree {n}")
-    vals = [ensure_fraction(v) for v in vals[:2 * n]]
-    top = [[vals[i + j] for j in range(n + 1)] for i in range(n)]
-    delta = bareiss_det([row[:n] for row in top])
-    if delta == 0:
-        raise QuasiDefiniteFailure(n - 1)
-    coeffs = []
-    for j in range(n + 1):
-        minor = [row[:j] + row[j + 1:] for row in top]
-        cof = bareiss_det(minor)
-        if (n + j) % 2 == 1:
-            cof = -cof
-        coeffs.append(cof / delta)
-    return MonicPolynomial(tuple(coeffs))
 
 
 def _sturm_counter(spec: SigmaTauSpec, n: int):

@@ -11,9 +11,11 @@ Chebyshev's recursion over the field of the data, definiteness
 witnesses by a second elimination on the original entries, recovery
 that squares the orthogonal polynomials, zeros as eigenvalues of the
 Jacobi matrix, moments by scipy's adaptive quadrature, the g >= 0
-decision as it stood before its helpers moved to one module, and the
+decision as it stood before its helpers moved to one module, the
 catalog densities as the hand-written float weights they were before the
-catalog became a table of ends, exponents and constants.
+catalog became a table of ends, exponents and constants, and the two
+second routes the package once exported: the order-k interval test as
+two eliminations, and P_n as a bordered Hankel determinant.
 """
 
 from fractions import Fraction
@@ -24,6 +26,8 @@ import os
 
 from hypothesis import settings, strategies as st
 import pytest
+
+from momentlab._record import Record
 
 # HYPOTHESIS_PROFILE selects the profile; unset, every test keeps its own
 # example count.  "ci" also multiplies the count of each test that asks
@@ -213,6 +217,28 @@ def catalog_prefixes():
 
 # -- reference paths ------------------------------------------------------
 
+class HausdorffVerdict(Record):
+    """Verdicts for H_k(y) and the interval combination matrix."""
+
+    base: object
+    combination: object
+
+    @property
+    def passed(self) -> bool:
+        return self.base.is_psd and self.combination.is_psd
+
+
+def reference_hausdorff(vals, a, b, k):
+    """The order-k test for a measure on [a, b]: one elimination of H_k(y)
+    and one of the combination matrix (a+b) H_k(Ey) - H_k(E^2 y) - ab H_k(y)."""
+    import momentlab as ml
+
+    if not (a < b):
+        raise ValueError("need a < b")
+    return HausdorffVerdict(ml.psd_status(ml.hankel_matrix(vals, k)),
+                            ml.psd_status(ml.hausdorff_combination(vals, a, b, k)))
+
+
 def reference_classify(y, m, interval=None):
     """``classify`` as one elimination per order and per family."""
     import momentlab as ml
@@ -255,7 +281,7 @@ def reference_classify(y, m, interval=None):
         status = []
         hs_ok = hs_checked
         for k in range(hs_checked + 1):
-            verdict = ml.hausdorff_test(vals, a, b, k)
+            verdict = reference_hausdorff(vals, a, b, k)
             status.append("pass" if verdict.passed else "fail")
             if not verdict.passed:
                 hs_ok = k - 1
@@ -447,6 +473,39 @@ def reference_recurrence(y, n):
                 nxt[i] -= tau[-1] * c
         p_prev, p_cur = p_cur, nxt
     return tuple(sigma), tuple(tau)
+
+
+def reference_ops_determinantal(y, n):
+    """P_n by the bordered Hankel determinant, divided by det H_{n-1}.
+
+    Expanding the determinant along its final row (1, x, ..., x^n) gives
+    the coefficient of x^j as a signed maximal minor of the first n rows.
+    The moments it reads, y_0..y_{2n-1}, must be rational, as the
+    coefficients of a ``MonicPolynomial`` are: a Surd among them raises
+    TypeError before any determinant runs.
+    """
+    import momentlab as ml
+
+    vals = tuple(y)
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    if n == 0:
+        return ml.MonicPolynomial((Fraction(1),))
+    if len(vals) < 2 * n:
+        raise ml.InsufficientData(f"need {2 * n} moments for degree {n}")
+    vals = [ml.ensure_fraction(v) for v in vals[:2 * n]]
+    top = [[vals[i + j] for j in range(n + 1)] for i in range(n)]
+    delta = ml.bareiss_det([row[:n] for row in top])
+    if delta == 0:
+        raise ml.QuasiDefiniteFailure(n - 1)
+    coeffs = []
+    for j in range(n + 1):
+        minor = [row[:j] + row[j + 1:] for row in top]
+        cof = ml.bareiss_det(minor)
+        if (n + j) % 2 == 1:
+            cof = -cof
+        coeffs.append(cof / delta)
+    return ml.MonicPolynomial(tuple(coeffs))
 
 
 def ops_values(spec, x, n):

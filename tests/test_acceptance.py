@@ -36,6 +36,7 @@ from conftest import (
     interval_endpoints,
     motzkin_closed,
     naive_catalan_like,
+    reference_ops_determinantal,
     schroder_large_closed,
     trinomial_closed,
 )
@@ -261,8 +262,9 @@ def test_criterion_8_hausdorff_at_order_6(name):
     else:
         cert = ml.support_interval(*ml.CATALOG[name], strict=False)
         lo, hi = cert.lower, cert.upper
-    verdict = ml.hausdorff_test(seq, lo, hi, 6)
-    assert verdict.passed, f"{name}: {verdict.combination.status}"
+    report = ml.classify(seq, 6, interval=(lo, hi))
+    assert report.hausdorff_ok_up_to == report.hausdorff_checked_up_to == 6, \
+        f"{name}: {report.hausdorff_status}"
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFIABLE_INTERVALS))
@@ -349,5 +351,5 @@ def test_criterion_11_path_equivalence(catalog_prefixes):
             spec, seq = catalog_prefixes[name]
             polys = ml.ops_from_recurrence(spec, 6)
             for n in range(7):
-                det_path = ml.ops_determinantal(seq, n)
+                det_path = reference_ops_determinantal(seq, n)
                 assert det_path.coefficients == polys[n].coefficients, (name, n)

@@ -316,6 +316,14 @@ def test_certify_support_needs_shorthand():
         ml.certify_support(spec)
 
 
+@pytest.mark.parametrize("n_check, error", [
+    (-1, ValueError), (1.5, TypeError), (2.0, TypeError), (True, TypeError),
+])
+def test_certify_support_rejects_a_bad_n_check(n_check, error):
+    with pytest.raises(error, match="n_check"):
+        ml.certify_support(ml.make_spec(1, 1, 1, 1), n_check=n_check)
+
+
 def test_support_report_json():
     import json
     report = ml.certify_support(ml.make_spec(3, 3, 4, 2), n_check=50)

@@ -351,6 +351,10 @@ def test_missing_input_file_exits_2(capsys):
     # quadrature that does not converge in its 200 panels: the x^100
     # pushforward of delannoy (its moments are exactly y_{100k})
     (("transform", "--name", "delannoy", "--sub", "d=100", "--verify"), None, None),
+    # --name and --p --s --q --t both name the spec
+    (("ops", "--name", "catalan", "--p", "5", "--deg", "1"), None, None),
+    (("gen", "--name", "catalan", "--p", "0", "--s", "2", "--q", "1", "--t", "1", "--n", "3"),
+     None, None),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, sequence_file, precision):
     if sequence_file is not None:

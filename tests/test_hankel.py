@@ -14,6 +14,7 @@ from conftest import (
     quadratic_field_prefixes,
     reference_chebyshev,
     reference_classify,
+    reference_ops_determinantal,
     reference_psd_status,
 )
 
@@ -217,7 +218,7 @@ def test_rational_data_never_reaches_the_field_recursion(monkeypatch):
     report = ml.classify(y, 10, interval=(Fraction(-1), Fraction(3)))
     assert report.hamburger_ok_up_to == 1 and len(report.delta_values) == 11
     assert ml.recurrence_from_moments(dela, 12)[1][:2] == (4, 2)
-    assert ml.ops_determinantal(dela, 4) == ml.ops_from_recurrence(spec, 4)[4]
+    assert reference_ops_determinantal(dela, 4) == ml.ops_from_recurrence(spec, 4)[4]
     assert kinds == {int}
     # a one-sided interval puts the combination sequence in Q(sqrt 2)
     kinds.clear()
@@ -340,10 +341,16 @@ def test_shift_examples():
 
 # -- hausdorff test ------------------------------------------------------
 
+def _hausdorff_passes(y, m, interval):
+    """Whether ``classify`` passes every interval order through m."""
+    report = ml.classify(y, m, interval=interval)
+    return (report.hausdorff_ok_up_to == report.hausdorff_checked_up_to == m
+            and report.hausdorff_status == ("pass",) * (m + 1))
+
+
 def test_hausdorff_catalan_04_passes():
     _, cat = ml.catalog_sequence("catalan", 9)
-    verdict = ml.hausdorff_test(cat, Fraction(0), Fraction(4), 3)
-    assert verdict.passed
+    assert _hausdorff_passes(cat, 3, (Fraction(0), Fraction(4)))
 
 
 def test_hausdorff_combination_matches_explicit_sequence():
@@ -358,8 +365,7 @@ def test_hausdorff_combination_matches_explicit_sequence():
 
 def test_hausdorff_motzkin_combination():
     _, mot = ml.catalog_sequence("motzkin", 9)
-    verdict = ml.hausdorff_test(mot, Fraction(-1), Fraction(3), 3)
-    assert verdict.passed
+    assert _hausdorff_passes(mot, 3, (Fraction(-1), Fraction(3)))
     combo = ml.hausdorff_combination(mot, Fraction(-1), Fraction(3), 3)
     explicit = [3 * y0 + 2 * y1 - y2
                 for y0, y1, y2 in zip(mot, ml.shift(mot, 1), ml.shift(mot, 2))]
@@ -368,9 +374,14 @@ def test_hausdorff_motzkin_combination():
 
 def test_hausdorff_catalan_03_fails():
     _, cat = ml.catalog_sequence("catalan", 9)
-    verdict = ml.hausdorff_test(cat, Fraction(0), Fraction(3), 2)
-    assert not verdict.passed
-    assert not verdict.combination.is_psd
+    report = ml.classify(cat, 2, interval=(Fraction(0), Fraction(3)))
+    assert report.hausdorff_ok_up_to < report.hausdorff_checked_up_to == 2
+    family, order, verdict = report.failure_witnesses[-1]
+    assert family == "hausdorff" and verdict.status == "indefinite"
+    # H_k(catalan) is positive definite, so the witness is the combination's
+    assert ml.psd_status(ml.hankel_matrix(cat, order)).is_psd
+    combo = ml.hausdorff_combination(cat, Fraction(0), Fraction(3), order)
+    assert combo.quadratic_form(verdict.witness) < 0
 
 
 def test_hausdorff_surd_endpoints_stay_exact():
@@ -380,13 +391,13 @@ def test_hausdorff_surd_endpoints_stay_exact():
     combo = ml.hausdorff_combination(dela, lo, hi, 3)
     # a+b = 6 and ab = 1, so the combination is rational
     assert all(isinstance(v, Fraction) for row in combo.rows for v in row)
-    assert ml.hausdorff_test(dela, lo, hi, 3).passed
+    assert _hausdorff_passes(dela, 3, (lo, hi))
 
 
 def test_hausdorff_needs_ordered_interval():
     _, cat = ml.catalog_sequence("catalan", 9)
-    with pytest.raises(ValueError):
-        ml.hausdorff_test(cat, Fraction(4), Fraction(0), 2)
+    with pytest.raises(ValueError, match="need a < b"):
+        ml.classify(cat, 2, interval=(Fraction(4), Fraction(0)))
     # too short for any interval order, but the interval is still checked
     with pytest.raises(ValueError):
         ml.classify([1, 1], 0, interval=(Fraction(4), Fraction(0)))
@@ -428,6 +439,13 @@ def test_classify_two_atoms_hamburger():
 def test_classify_insufficient_data():
     with pytest.raises(ml.InsufficientData):
         ml.classify(ml.Sequence((1, 2)), 2)
+
+
+@pytest.mark.parametrize("m", [True, 2.0, 1.5])
+def test_classify_rejects_an_order_that_is_not_an_int(m):
+    _, cat = ml.catalog_sequence("catalan", 9)
+    with pytest.raises(TypeError, match="m must be an int"):
+        ml.classify(cat, m)
 
 
 def test_classify_log_convexity_consequence():

