@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import HypothesisFailure, LengthMismatch, PoleAt, ZeroTau
-from .exact import _require_int, ensure_fraction, format_rational, is_exact, sqrt_exact
+from .exact import _require_count, ensure_fraction, format_rational, is_exact, sqrt_exact
 from .orthopoly import true_interval_estimate
 from .seqcore import SigmaTauSpec
 
@@ -56,8 +56,7 @@ def alpha_sequence(spec: SigmaTauSpec, x, n_max: int):
     x must be exact (an int, Fraction or Surd); anything else, such as a
     float, raises TypeError.  Raises PoleAt(n) when x collides with some s_n.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _require_count("n_max", n_max)
     if not is_exact(x):
         raise TypeError(f"alpha_sequence needs an exact point, got {x!r}")
     out = []
@@ -113,8 +112,7 @@ def minimal_parameters(a, n_max: int = None) -> ChainVerdict:
     if not a:
         raise ValueError("need at least one value")
     if n_max is not None:
-        if n_max < 0:
-            raise ValueError("n_max must be >= 0")
+        _require_count("n_max", n_max)
         a = a[:n_max + 1]
     if not all(map(is_exact, a)):
         raise TypeError("chain parameters require exact scalars")
@@ -369,9 +367,7 @@ def certify_support(spec: SigmaTauSpec, n_check: int = 200) -> SupportReport:
     When p = b, alpha_0 has a pole there, and that endpoint's chain is
     reported failed at 0.
     """
-    _require_int("n_check", n_check)
-    if n_check < 0:
-        raise ValueError("n_check must be >= 0")
+    _require_count("n_check", n_check)
     short = spec.shorthand
     if short is None:
         raise ValueError("support certification needs (p, s; q, t) shorthand data")

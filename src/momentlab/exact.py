@@ -11,6 +11,14 @@ normal form: the constructor and every arithmetic operation return a
 Fraction for a rational value, so ``Surd(1, 3, 4)`` is ``Fraction(7)``
 and no caller has to fold results by hand.  Every Surd is irrational.
 Surds mix freely with ints and Fractions.
+
+Every public order, length, degree, shift and index argument of the
+package (the Hankel order m, a prefix length n_max, the degree n of P_n,
+the step d and offset l of a subsequence) passes one rule,
+``_require_count``: it must be an int, and never a bool or a float,
+even an integral one (a caller's error, not a number to round), else
+TypeError; below its least value (0, or 1 for a degree with zeros, a
+recovery depth or a step d) it raises ValueError.
 """
 
 from __future__ import annotations
@@ -300,9 +308,11 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, Surd)) and not isinstance(x, bool)
 
 
-def _require_int(name: str, value) -> None:
-    """Raise TypeError unless ``value`` is an int that is not a bool: an
-    index, exponent or count given as a float or a bool is a caller's error,
-    not a number to round."""
+def _require_count(name: str, value, least: int = 0) -> None:
+    """Check an order, length, degree, shift or index (see the module
+    docstring): TypeError unless ``value`` is an int that is not a bool,
+    ValueError when it is below ``least``."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}: {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")

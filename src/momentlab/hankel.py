@@ -53,7 +53,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import InsufficientData
-from .exact import Surd, _require_int, ensure_fraction, is_exact
+from .exact import Surd, _require_count, ensure_fraction, is_exact
 from .seqcore import Sequence, _times, _values
 
 __all__ = [
@@ -110,13 +110,12 @@ class SymMatrix(Record):
 
 
 def hankel_matrix(y, m: int, shift: int = 0) -> SymMatrix:
-    """H_m(y) for shift 0, the once-shifted Hankel block for shift 1."""
-    if shift not in (0, 1):
-        raise ValueError("shift must be 0 or 1")
+    """H_m(E^shift y), entries y_{i+j+shift}: H_m(y) for shift 0, the
+    once-shifted Hankel block for shift 1."""
+    _require_count("m", m)
+    _require_count("shift", shift)
     vals = _values(y)
     need = 2 * m + 1 + shift
-    if m < 0:
-        raise ValueError("order must be >= 0")
     if len(vals) < need:
         raise InsufficientData(f"need {need} values for order {m}, have {len(vals)}")
     return SymMatrix(tuple(
@@ -445,9 +444,8 @@ def psd_status(M: SymMatrix) -> PsdVerdict:
 
 def shift(y, j: int = 1):
     """The left shift (E^j y)_n = y_{n+j}."""
+    _require_count("j", j)
     vals = _values(y)
-    if j < 0:
-        raise ValueError("shift must be >= 0")
     if len(vals) <= j:
         raise InsufficientData(f"cannot shift a length-{len(vals)} sequence by {j}")
     if isinstance(y, Sequence):
@@ -489,6 +487,7 @@ def hausdorff_combination(y, a, b, m: int) -> SymMatrix:
     v^T M v < 0 for this matrix M at order k, or for H_k(y) when only
     that one fails there.
     """
+    _require_count("m", m)
     a, b = _endpoints((a, b))
     vals = _values(y)
     need = 2 * m + 3
@@ -649,12 +648,9 @@ def classify(y, m: int, interval=None) -> MomentClassReport:
     copy (``_scaled``): ints for rational data, and Z[sqrt(r)] for a
     combination sequence with irrational entries (an interval such as
     [0, s + 2 sqrt(t)]).  Interval endpoints are coerced like sequence
-    entries, so a float endpoint raises TypeError, as does an m that is
-    not an int.
+    entries, so a float endpoint raises TypeError.
     """
-    _require_int("m", m)
-    if m < 0:
-        raise ValueError("order must be >= 0")
+    _require_count("m", m)
     if interval is not None:
         interval = _endpoints(interval)
     vals = _values(y)

@@ -45,9 +45,9 @@ from typing import TYPE_CHECKING
 
 from ._record import Record
 from .errors import GNegative, InsufficientData, NonIntegrable, TooShort, UnknownName
-from .exact import Surd, _require_int, ensure_fraction, is_exact
+from .exact import Surd, _require_count, ensure_fraction, is_exact
 from .roots import horner, sturm_counter, trim, vanishing_order
-from .seqcore import Sequence
+from .seqcore import Sequence, _values
 
 if TYPE_CHECKING:  # imported at run time only where a witness is built
     from .hankel import SymMatrix
@@ -156,6 +156,7 @@ def density_catalog(name: str) -> Density:
 
 def density_plot_csv(dens: Density, npoints: int = 256) -> str:
     """CSV rows (x, w(x)) on an interior grid, for plotting."""
+    _require_count("npoints", npoints)
     lines = ["x,w"]
     span = dens.b - dens.a
     for k in range(1, npoints + 1):
@@ -236,8 +237,7 @@ def moment_quadrature(dens: Density, n: int, tol: float = 1e-10) -> float:
     much mass below _TINY (the x^100 pushforward of catalan), where the
     integral is extrapolated from the leading power of u.
     """
-    if n < 0:
-        raise ValueError("moment order must be >= 0")
+    _require_count("n", n)
     if tol <= 0:
         raise ValueError("tol must be positive")
     ea, eb = dens.left_exponent, dens.right_exponent
@@ -322,9 +322,8 @@ def verify_representation(y, dens: Density, n_max: int, tol: float = 1e-7,
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a finite number above 0, got {tol!r}")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    vals = y.values if isinstance(y, Sequence) else tuple(y)
+    _require_count("n_max", n_max)
+    vals = _values(y)
     if len(vals) < n_max + 1:
         raise InsufficientData(f"need {n_max + 1} values, have {len(vals)}")
     # float() of a Fraction and float ** int raise OverflowError, never give inf
@@ -363,10 +362,8 @@ class TransformSpec(Record):
     def __post_init__(self):
         if self.kind not in (self.SUBSEQUENCE, self.LINEAR_COMBINATION):
             raise ValueError(f"unknown transform kind {self.kind!r}")
-        _require_int("d", self.d)
-        _require_int("offset", self.offset)
-        if self.kind == self.SUBSEQUENCE and (self.d < 1 or self.offset < 0):
-            raise ValueError("subsequence needs d >= 1 and offset >= 0")
+        _require_count("d", self.d, 1)
+        _require_count("offset", self.offset)
         if self.kind == self.LINEAR_COMBINATION:
             object.__setattr__(self, "g", tuple(ensure_fraction(c) for c in self.g))
 
@@ -381,11 +378,9 @@ def transform_length(transform: TransformSpec, n: int) -> int:
 
 def subsequence_transform(y, d: int, offset: int = 0) -> Sequence:
     """The affine subsequence k -> y_{dk + offset}."""
-    _require_int("d", d)
-    _require_int("offset", offset)
-    if d < 1 or offset < 0:
-        raise ValueError("need d >= 1 and offset >= 0")
-    vals = y.values if isinstance(y, Sequence) else tuple(y)
+    _require_count("d", d, 1)
+    _require_count("offset", offset)
+    vals = _values(y)
     if offset >= len(vals):
         raise InsufficientData("offset beyond the available prefix")
     sub = vals[offset::d]
@@ -396,9 +391,7 @@ def subsequence_transform(y, d: int, offset: int = 0) -> Sequence:
 def transform_support(interval, d: int):
     """Image of an interval under x -> x^d, exactly for exact endpoints."""
     a, b = interval
-    _require_int("d", d)
-    if d < 1:
-        raise ValueError("need d >= 1")
+    _require_count("d", d, 1)
     if d % 2 == 1:
         return (a ** d, b ** d)
     candidates = [a ** d, b ** d]
@@ -437,9 +430,8 @@ def pattern_is_stieltjes_preserving(indices) -> PatternVerdict:
     idx = list(indices)
     if len(idx) < 3:
         raise TooShort("need at least three indices")
-    if any(int(v) != v or v < 0 for v in idx):
-        raise ValueError("indices must be nonnegative integers")
-    idx = [int(v) for v in idx]
+    for v in idx:
+        _require_count("index", v)
     if any(m >= n for m, n in zip(idx, idx[1:])):
         raise ValueError("indices must be strictly increasing")
     gaps = [n - m for m, n in zip(idx, idx[1:])]
@@ -516,7 +508,7 @@ def linear_combination_transform(y, g, a, b, density: Density = None):
     order of g there.
     """
     coeffs = trim(ensure_fraction(c) for c in g) or (Fraction(0),)
-    vals = y.values if isinstance(y, Sequence) else tuple(y)
+    vals = _values(y)
     deg = len(coeffs) - 1
     if len(vals) <= deg:
         raise InsufficientData("sequence shorter than the polynomial degree")
@@ -554,11 +546,9 @@ def transformed_density_linear(dens: Density, coeffs) -> Density:
 def translate_density(dens: Density, offset: int) -> Density:
     """The density x^offset w(x): the linear transform with g = x^offset,
     so an exponent shifts only at an endpoint that is exactly zero."""
-    _require_int("offset", offset)
+    _require_count("offset", offset)
     if offset == 0:
         return dens
-    if offset < 0:
-        raise ValueError("offset must be >= 0")
     moved = transformed_density_linear(dens, (0,) * offset + (1,))
     return moved.replace(label=f"x^{offset}*{dens.label}")
 
@@ -581,9 +571,7 @@ def pushforward_power(dens: Density, d: int) -> Density:
     from transform_support.  A d for which b^d is not a finite double
     raises ValueError.
     """
-    _require_int("d", d)
-    if d < 1:
-        raise ValueError("need d >= 1")
+    _require_count("d", d, 1)
     if d == 1:
         return dens
     if dens.a_exact < 0:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import InsufficientData, NotPositiveCase, QuasiDefiniteFailure
-from .exact import ensure_fraction, format_rational
+from .exact import _require_count, ensure_fraction, format_rational
 from .roots import horner, rounded_zeros, trim
 from .seqcore import SigmaTauSpec, _values
 
@@ -111,8 +111,7 @@ def ops_from_recurrence(spec: SigmaTauSpec, n: int):
     Seeds are P_{-1} = 0, P_0 = 1; the t_0 term multiplies P_{-1} and
     never enters, matching the convention that t_0 is free.
     """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
+    _require_count("n", n)
     polys = [MonicPolynomial((Fraction(1),))]
     prev = (Fraction(0),)
     for k in range(n):
@@ -137,9 +136,8 @@ def recurrence_from_moments(y, n: int):
     determinant vanishes.
     """
     from .hankel import _chebyshev
+    _require_count("n", n, 1)
     vals = _values(y)
-    if n < 1:
-        raise ValueError("need n >= 1")
     if len(vals) < 2 * n:
         raise InsufficientData(f"need {2 * n} moments for depth {n}, have {len(vals)}")
 
@@ -183,8 +181,6 @@ def _zeros(spec: SigmaTauSpec, n: int, wanted) -> list:
     ``roots.rounded_zeros`` bisects over the doubles from a Gershgorin
     bracket of the Jacobi matrix that exact counts confirm.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
     if not spec.positive_case:
         raise NotPositiveCase("zeros need every t_k > 0")
     count = _sturm_counter(spec, n)
@@ -206,6 +202,7 @@ def ops_zeros(spec: SigmaTauSpec, n: int) -> list:
 
     Raises NotPositiveCase unless every t_k > 0, and ValueError for n < 1.
     """
+    _require_count("n", n, 1)
     return _zeros(spec, n, range(n))
 
 
@@ -216,5 +213,6 @@ def true_interval_estimate(spec: SigmaTauSpec, n: int):
     widens monotonically with n; no extrapolation is attempted.  Only
     the two extreme zeros are bisected.
     """
+    _require_count("n", n, 1)
     zeros = _zeros(spec, n, {0, n - 1})
     return zeros[0], zeros[-1]

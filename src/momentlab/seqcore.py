@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import UnknownName, ZeroTau
-from .exact import Surd, ensure_fraction, format_rational
+from .exact import Surd, _require_count, ensure_fraction, format_rational
 
 __all__ = [
     "SigmaTauSpec",
@@ -192,8 +192,7 @@ class Sequence(Record):
 
     def prefix(self, n_max: int) -> "Sequence":
         """The sub-sequence y_0 .. y_{n_max}."""
-        if n_max < 0:
-            raise ValueError("n_max must be >= 0")
+        _require_count("n_max", n_max)
         if n_max + 1 > len(self.values):
             raise ValueError("prefix longer than available data")
         return Sequence(self.values[:n_max + 1], self.label, self.origin)
@@ -268,8 +267,6 @@ def _unscale(entries, lam: int, degrees) -> tuple:
 def _rows(spec: SigmaTauSpec, n_max: int, lam: int):
     """Yield the int rows lambda^(n-k) r[n][k], n = 0 .. n_max, one at a
     time: the rows of the integral spec (lambda sigma, lambda^2 tau)."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     sigma = [_times(spec.sigma(k), lam) for k in range(n_max + 1)]
     tau = [_times(spec.tau(k + 1), lam * lam) for k in range(n_max + 1)]  # tau[k] = t_{k+1}
     row = [1]
@@ -283,6 +280,7 @@ def _rows(spec: SigmaTauSpec, n_max: int, lam: int):
 
 def recursive_matrix(spec: SigmaTauSpec, n_max: int) -> RecursiveMatrix:
     """The (n_max+1)-row recursive matrix of the spec, exactly."""
+    _require_count("n_max", n_max)
     lam = _scale(spec)
     return RecursiveMatrix(tuple(_unscale(row, lam, range(n, -1, -1))
                                  for n, row in enumerate(_rows(spec, n_max, lam))))
@@ -343,11 +341,10 @@ def catalan_like(spec: SigmaTauSpec, n_max: int) -> Sequence:
     any other the rolling rows of :func:`_rows`, both on the spec scaled
     by lambda (see the module docstring); y_n is then divided by lambda^n.
     """
+    _require_count("n_max", n_max)
     lam, short = _scale(spec), spec.shorthand
     if short is None:
         column = [row[0] for row in _rows(spec, n_max, lam)]
-    elif n_max < 0:
-        raise ValueError("n_max must be >= 0")
     else:
         p, s, q, t = short
         column = _shorthand_column(_times(p, lam), _times(s, lam), _times(q, lam * lam),

@@ -208,3 +208,56 @@ def test_floor_and_ceil_bracket_the_value(a, b, r, scale):
     lo, hi = math.floor(x), math.ceil(x)
     assert type(lo) is int and type(hi) is int
     assert lo < x < hi == lo + 1
+
+
+_Y = (1, 1, 2, 5, 14, 42, 132, 429, 1430)
+_SPEC = ml.make_spec(1, 2, 1, 1)
+_DENS = ml.density_catalog("catalan")
+
+#: (public call, argument name, least value): every order, length, degree,
+#: shift and index argument passes exact._require_count.
+_COUNTS = {
+    "hankel_matrix": (lambda v: ml.hankel_matrix(_Y, v), "m", 0),
+    "hankel_matrix-shift": (lambda v: ml.hankel_matrix(_Y, 1, v), "shift", 0),
+    "hankel_det": (lambda v: ml.hankel_det(_Y, v), "m", 0),
+    "hausdorff_combination": (lambda v: ml.hausdorff_combination(_Y, 0, 4, v), "m", 0),
+    "shift": (lambda v: ml.shift(_Y, v), "j", 0),
+    "classify": (lambda v: ml.classify(_Y, v), "m", 0),
+    "catalan_like": (lambda v: ml.catalan_like(_SPEC, v), "n_max", 0),
+    "catalog_sequence": (lambda v: ml.catalog_sequence("catalan", v), "n_max", 0),
+    "recursive_matrix": (lambda v: ml.recursive_matrix(_SPEC, v), "n_max", 0),
+    "Sequence.prefix": (lambda v: ml.Sequence(_Y).prefix(v), "n_max", 0),
+    "ops_from_recurrence": (lambda v: ml.ops_from_recurrence(_SPEC, v), "n", 0),
+    "recurrence_from_moments": (lambda v: ml.recurrence_from_moments(_Y, v), "n", 1),
+    "ops_zeros": (lambda v: ml.ops_zeros(_SPEC, v), "n", 1),
+    "true_interval_estimate": (lambda v: ml.true_interval_estimate(_SPEC, v), "n", 1),
+    "alpha_sequence": (lambda v: ml.alpha_sequence(_SPEC, 0, v), "n_max", 0),
+    "minimal_parameters": (lambda v: ml.minimal_parameters([Fraction(1, 4)] * 3, v),
+                           "n_max", 0),
+    "certify_support": (lambda v: ml.certify_support(_SPEC, v), "n_check", 0),
+    "moment_quadrature": (lambda v: ml.moment_quadrature(_DENS, v), "n", 0),
+    "verify_representation": (lambda v: ml.verify_representation(_Y, _DENS, v), "n_max", 0),
+    "density_plot_csv": (lambda v: ml.density_plot_csv(_DENS, v), "npoints", 0),
+    "TransformSpec-d": (lambda v: ml.TransformSpec(ml.TransformSpec.SUBSEQUENCE, d=v), "d", 1),
+    "TransformSpec-offset": (lambda v: ml.TransformSpec(ml.TransformSpec.SUBSEQUENCE, offset=v),
+                             "offset", 0),
+    "subsequence_transform-d": (lambda v: ml.subsequence_transform(_Y, v), "d", 1),
+    "subsequence_transform-offset": (lambda v: ml.subsequence_transform(_Y, 2, v), "offset", 0),
+    "transform_support": (lambda v: ml.transform_support((-1, 3), v), "d", 1),
+    "pushforward_power": (lambda v: ml.pushforward_power(_DENS, v), "d", 1),
+    "translate_density": (lambda v: ml.translate_density(_DENS, v), "offset", 0),
+    "pattern_is_stieltjes_preserving": (
+        lambda v: ml.pattern_is_stieltjes_preserving([v, 3, 5]), "index", 0),
+}
+
+
+@pytest.mark.parametrize("bad", ["bool", "float", "below"])
+@pytest.mark.parametrize("call, name, least", _COUNTS.values(), ids=_COUNTS)
+def test_every_count_is_an_int_at_least_its_minimum(call, name, least, bad):
+    """True and 2.0 raise TypeError, not 1 and 2, and least - 1 ValueError."""
+    if bad == "below":
+        with pytest.raises(ValueError, match=f"{name} must be >= {least}, got {least - 1}"):
+            call(least - 1)
+    else:
+        with pytest.raises(TypeError, match=f"{name} must be an int"):
+            call(True if bad == "bool" else 2.0)

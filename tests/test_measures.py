@@ -722,3 +722,19 @@ def test_density_plot_csv():
     lines = text.strip().splitlines()
     assert lines[0] == "x,w"
     assert len(lines) == 17
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ml.verify_representation([1, 1.0, 2.0, 5.0], ml.density_catalog("catalan"), 3),
+    lambda: ml.subsequence_transform([1, 2.5, 3], 2),
+    lambda: ml.linear_combination_transform([1, 1, 2.0, 5], (0, 1), 0, 4),
+], ids=["verify_representation", "subsequence_transform", "linear_combination_transform"])
+def test_moments_are_read_exactly_so_a_float_raises(call):
+    with pytest.raises(TypeError, match="expected an exact rational"):
+        call()
+
+
+@pytest.mark.parametrize("bad", [2.0, Fraction(2), True], ids=["float", "fraction", "bool"])
+def test_pattern_indices_must_be_ints(bad):
+    with pytest.raises(TypeError, match="index must be an int"):
+        ml.pattern_is_stieltjes_preserving([0, bad, 4])
